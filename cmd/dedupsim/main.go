@@ -239,7 +239,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		st := farm.CollectStats(c, cv, e, compileTime, wall)
+		st := farm.CollectStats(c, c.StructuralHash(), cv, e, compileTime, wall)
 		st.Workload = wl.Name
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -300,12 +300,13 @@ func runLanes(sigCtx context.Context, out io.Writer, c *circuit.Circuit, cv *har
 	}
 	if jsonOut {
 		stats := make([]farm.SimStats, lanes)
+		hash := c.StructuralHash()
 		for l := range stats {
 			compile := time.Duration(0)
 			if l == 0 {
 				compile = compileTime
 			}
-			stats[l] = farm.CollectLaneStats(c, cv, be, l, compile, wall)
+			stats[l] = farm.CollectLaneStats(c, hash, cv, be, l, compile, wall)
 			stats[l].Workload = wl.Name
 		}
 		enc := json.NewEncoder(os.Stdout)

@@ -1,59 +1,11 @@
 package cluster
 
-import "container/list"
-
 // Bounded in-memory state. A long-lived router sees an unbounded stream
 // of designs and migrations; everything it remembers about them must
 // have a cap (the same discipline as the farm's RetainJobs). Two LRU
-// caches bound the replicated-artifact bytes and the design→route-key
-// memo, and a drop-oldest ring bounds the migration event log.
-
-// lruCache is a bounded string-keyed map with least-recently-used
-// eviction. Not safe for concurrent use; the Router's mutex guards it.
-type lruCache[V any] struct {
-	cap       int
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
-	evictions int64
-}
-
-type lruEntry[V any] struct {
-	key string
-	val V
-}
-
-func newLRU[V any](capacity int) *lruCache[V] {
-	return &lruCache[V]{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-// get returns the value and bumps its recency.
-func (c *lruCache[V]) get(key string) (V, bool) {
-	if e, ok := c.items[key]; ok {
-		c.ll.MoveToFront(e)
-		return e.Value.(*lruEntry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// put inserts or refreshes a key, evicting the least recently used
-// entries beyond the cap.
-func (c *lruCache[V]) put(key string, val V) {
-	if e, ok := c.items[key]; ok {
-		e.Value.(*lruEntry[V]).val = val
-		c.ll.MoveToFront(e)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
-	for c.cap > 0 && c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry[V]).key)
-		c.evictions++
-	}
-}
-
-func (c *lruCache[V]) len() int { return c.ll.Len() }
+// caches (internal/lru) bound the replicated-artifact bytes and the
+// design→route-key memo, and a drop-oldest ring bounds the migration
+// event log.
 
 // ringLog is a drop-oldest event log: at most cap recent entries are
 // retained, with the total ever logged kept for the "last K of N"

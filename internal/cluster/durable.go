@@ -331,7 +331,7 @@ func (r *Router) recoverFromStore() error {
 			r.store.RemoveArtifact(name)
 			continue
 		}
-		r.artifacts.put(name, data)
+		r.artifacts.Put(name, data)
 		rec.ArtifactsReloaded++
 	}
 

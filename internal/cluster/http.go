@@ -90,8 +90,8 @@ func (r *Router) Stats() FleetStats {
 		CheckpointsPulled:   r.ckptsPulled,
 		ArtifactsReplicated: r.artsPulled,
 		ArtifactsServed:     r.artsServed,
-		ArtifactEvictions:   r.artifacts.evictions,
-		RouteKeyEvictions:   r.routeKeys.evictions,
+		ArtifactEvictions:   r.artifacts.Evictions(),
+		RouteKeyEvictions:   r.routeKeys.Evictions(),
 		ArtifactDiskHits:    r.artsDiskHits,
 		JobsAdopted:         r.jobsAdopted,
 		PeerSyncs:           r.peerSyncs,

@@ -97,7 +97,7 @@ func (r *Router) WriteProm(w io.Writer) error {
 	forwarded, spilled, failovers := r.forwarded, r.spilled, r.failovers
 	migrations, deaths := r.migrations, r.deaths
 	ckpts, artsIn, artsOut := r.ckptsPulled, r.artsPulled, r.artsServed
-	artEvict, keyEvict, diskHits := r.artifacts.evictions, r.routeKeys.evictions, r.artsDiskHits
+	artEvict, keyEvict, diskHits := r.artifacts.Evictions(), r.routeKeys.Evictions(), r.artsDiskHits
 	adopted, syncs, syncFails := r.jobsAdopted, r.peerSyncs, r.peerSyncFails
 	type peerRow struct {
 		id string

@@ -219,7 +219,7 @@ func (r *Router) replicateArtifacts(ctx context.Context, results []probeResult, 
 			}
 			key := farm.ArtifactKey(e.CircuitHash, e.Variant)
 			r.mu.Lock()
-			_, have := r.artifacts.get(key)
+			_, have := r.artifacts.Get(key)
 			r.mu.Unlock()
 			if !have && r.store != nil {
 				// Evicted from memory but persisted: no need to re-pull it
@@ -239,8 +239,8 @@ func (r *Router) replicateArtifacts(ctx context.Context, results []probeResult, 
 				continue
 			}
 			r.mu.Lock()
-			if _, have := r.artifacts.get(key); !have {
-				r.artifacts.put(key, art)
+			if _, have := r.artifacts.Get(key); !have {
+				r.artifacts.Put(key, art)
 				r.artsPulled++
 			}
 			r.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 
 	"dedupsim/internal/durable"
 	"dedupsim/internal/farm"
+	"dedupsim/internal/lru"
 	"dedupsim/internal/obs"
 	"dedupsim/internal/tenant"
 )
@@ -219,18 +220,19 @@ type Router struct {
 	jobs     map[string]*fleetJob
 	order    []string // fleet job IDs in admission order
 	nextID   int64
-	// routeKeys memoizes design-key → routing key: elaborating a design
-	// to hash it is cheap next to compiling, but not free, and fleets see
-	// the same few designs over and over. Bounded (MaxRouteKeys, LRU);
-	// an evicted key is simply recomputed.
-	routeKeys *lruCache[string]
+	// routeKeys memoizes design content key → structural hash:
+	// elaborating a design to hash it is cheap next to compiling, but not
+	// free, and fleets see the same few designs over and over. Keyed by
+	// the fixed-size DesignSpec.Key, so the memo never pins FIRRTL text.
+	// Bounded (MaxRouteKeys, LRU); an evicted key is simply recomputed.
+	routeKeys *lru.Cache[farm.DesignKey, string]
 	// artifacts is the router's replicated artifact store: encoded
 	// compile artifacts pulled from nodes during heartbeats, served back
 	// to cold peers (and used to warm a migration target) even after the
 	// origin node died. The in-memory tier is bounded (MaxArtifacts,
 	// LRU); with a store, evicted entries stay on disk and reload on
 	// demand.
-	artifacts *lruCache[[]byte]
+	artifacts *lru.Cache[string, []byte]
 
 	// store is the durable tier (nil without DataDir): the placement
 	// journal plus persisted checkpoints and artifacts.
@@ -296,8 +298,8 @@ func OpenRouter(cfg RouterConfig) (*Router, error) {
 		client:        &http.Client{Timeout: cfg.ProbeTimeout},
 		registry:      NewRegistry(cfg.VirtualNodes),
 		jobs:          map[string]*fleetJob{},
-		routeKeys:     newLRU[string](cfg.MaxRouteKeys),
-		artifacts:     newLRU[[]byte](cfg.MaxArtifacts),
+		routeKeys:     lru.New[farm.DesignKey, string](cfg.MaxRouteKeys),
+		artifacts:     lru.New[string, []byte](cfg.MaxArtifacts),
 		routerID:      cfg.RouterID,
 		migrationLogs: newRingLog(cfg.MaxMigrationLog),
 		stop:          make(chan struct{}),
@@ -399,9 +401,9 @@ func (r *Router) Nodes() []NodeView {
 // Program — and could share a batch engine — get the same key, which is
 // the whole point: cache affinity is placement policy.
 func (r *Router) routeKey(spec farm.JobSpec) (string, error) {
-	designKey := fmt.Sprintf("%s|%g|%s", spec.Design, spec.Scale, spec.FIRRTL)
+	designKey := spec.Key()
 	r.mu.Lock()
-	hash, ok := r.routeKeys.get(designKey)
+	hash, ok := r.routeKeys.Get(designKey)
 	r.mu.Unlock()
 	if !ok {
 		c, err := spec.Build()
@@ -410,7 +412,7 @@ func (r *Router) routeKey(spec farm.JobSpec) (string, error) {
 		}
 		hash = c.StructuralHash().String()
 		r.mu.Lock()
-		r.routeKeys.put(designKey, hash)
+		r.routeKeys.Put(designKey, hash)
 		r.mu.Unlock()
 	}
 	return hash + "/" + spec.Variant, nil
@@ -690,13 +692,13 @@ func (r *Router) Jobs() []FleetJobView {
 func (r *Router) Artifact(key string) ([]byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if data, ok := r.artifacts.get(key); ok {
+	if data, ok := r.artifacts.Get(key); ok {
 		r.artsServed++
 		return data, true
 	}
 	if r.store != nil {
 		if data, ok := r.store.LoadArtifact(key); ok {
-			r.artifacts.put(key, data)
+			r.artifacts.Put(key, data)
 			r.artsServed++
 			r.artsDiskHits++
 			return data, true

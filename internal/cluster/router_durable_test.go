@@ -363,11 +363,9 @@ func TestRouterCloseCleanRestart(t *testing.T) {
 	}
 }
 
-// firstArtifactKey returns any key in the router's artifact cache.
+// firstArtifactKey returns any key of the router's persisted artifacts.
 func firstArtifactKey(r *Router) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k := range r.artifacts.items {
+	for _, k := range r.store.Artifacts() {
 		return k
 	}
 	return ""

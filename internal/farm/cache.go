@@ -13,10 +13,63 @@ import (
 )
 
 // ErrCompilePanicked is wrapped into the error coalesced waiters see
-// when the compile they were waiting on panicked. The panic is treated
-// as transient (the entry is dropped and a retry recompiles), so the
-// farm retries waiters that hit it rather than failing their jobs.
+// when the shared build they were waiting on — a compile, or the design
+// elaboration in front of it — panicked. The panic is treated as
+// transient (the entry is dropped and a retry rebuilds), so the farm
+// retries waiters that hit it rather than failing their jobs.
 var ErrCompilePanicked = errors.New("compile panicked")
+
+// flight is one single-flight build, shared by the compile cache and
+// the design store: the first requester of a key owns the flight and
+// runs the build; everyone else waits on ready.
+type flight[V any] struct {
+	ready chan struct{}
+	val   V
+	err   error
+}
+
+func newFlight[V any]() *flight[V] { return &flight[V]{ready: make(chan struct{})} }
+
+// run executes build as the flight's owner and releases the waiters. A
+// panicking build must not wedge the key: waiters fail with
+// ErrCompilePanicked, drop (which unmaps the flight) runs before they
+// are released so a retry starts a fresh build instead of blocking
+// forever on ready, and the panic keeps unwinding (the farm's
+// per-attempt recover turns it into a transient failure).
+func (fl *flight[V]) run(build func() (V, error), drop func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			fl.err = fmt.Errorf("%w: %v", ErrCompilePanicked, r)
+			drop()
+			close(fl.ready)
+			panic(r)
+		}
+	}()
+	fl.val, fl.err = build()
+	close(fl.ready)
+}
+
+// wait blocks until the owner finishes (true: val and err are set) or
+// ctx expires first (false). An abandoned build keeps running and still
+// lands in its cache.
+func (fl *flight[V]) wait(ctx context.Context) bool {
+	select {
+	case <-fl.ready:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// finished reports, without blocking, whether the build is over.
+func (fl *flight[V]) finished() bool {
+	select {
+	case <-fl.ready:
+		return true
+	default:
+		return false
+	}
+}
 
 // CacheKey addresses one compiled Program: the same elaborated circuit
 // compiled under the same variant is the same Program, no matter which
@@ -31,10 +84,8 @@ type CacheKey struct {
 // Programs are the farm's whole value and a farm serves a bounded design
 // zoo — but Snapshot exposes enough to add eviction later.
 type cacheEntry struct {
-	ready chan struct{}
+	*flight[*harness.Compiled]
 
-	cv          *harness.Compiled
-	err         error
 	compileTime time.Duration
 	hits        int64 // guarded by the cache mutex
 	// warm marks entries installed from the persistent tier at startup
@@ -77,40 +128,30 @@ func (cc *CompileCache) Get(ctx context.Context, key CacheKey, compile func() (*
 			cc.warmHits++
 		}
 		cc.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
+		if !e.wait(ctx) {
 			return nil, false, ctx.Err()
 		}
 		cc.mu.Lock()
 		cc.savedTime += e.compileTime
 		cc.mu.Unlock()
-		return e.cv, true, e.err
+		return e.val, true, e.err
 	}
-	e = &cacheEntry{ready: make(chan struct{})}
+	e = &cacheEntry{flight: newFlight[*harness.Compiled]()}
 	cc.entries[key] = e
 	cc.misses++
 	cc.mu.Unlock()
 
-	// A panicking compile must not wedge the entry: fail coalesced
-	// waiters and drop it from the map so a retry recompiles instead of
-	// blocking forever on ready, then let the panic keep unwinding (the
-	// farm's per-attempt recover turns it into a transient failure).
-	defer func() {
-		if r := recover(); r != nil {
-			e.err = fmt.Errorf("%w: %v", ErrCompilePanicked, r)
-			cc.mu.Lock()
-			delete(cc.entries, key)
-			cc.mu.Unlock()
-			close(e.ready)
-			panic(r)
-		}
-	}()
-	start := time.Now()
-	e.cv, e.err = compile()
-	e.compileTime = time.Since(start)
-	close(e.ready)
-	return e.cv, false, e.err
+	e.run(func() (*harness.Compiled, error) {
+		start := time.Now()
+		cv, err := compile()
+		e.compileTime = time.Since(start)
+		return cv, err
+	}, func() {
+		cc.mu.Lock()
+		delete(cc.entries, key)
+		cc.mu.Unlock()
+	})
+	return e.val, false, e.err
 }
 
 // Has reports whether key has an entry (completed, failed, or still
@@ -133,15 +174,10 @@ func (cc *CompileCache) Lookup(key CacheKey) (*harness.Compiled, time.Duration, 
 	if !ok {
 		return nil, 0, false
 	}
-	select {
-	case <-e.ready:
-	default:
-		return nil, 0, false // still compiling
+	if !e.finished() || e.err != nil {
+		return nil, 0, false // still compiling, or failed
 	}
-	if e.err != nil {
-		return nil, 0, false
-	}
-	return e.cv, e.compileTime, true
+	return e.val, e.compileTime, true
 }
 
 // Keys lists the keys of completed, successfully compiled entries.
@@ -150,12 +186,7 @@ func (cc *CompileCache) Keys() []CacheKey {
 	defer cc.mu.Unlock()
 	keys := make([]CacheKey, 0, len(cc.entries))
 	for key, e := range cc.entries {
-		select {
-		case <-e.ready:
-		default:
-			continue
-		}
-		if e.err == nil {
+		if e.finished() && e.err == nil {
 			keys = append(keys, key)
 		}
 	}
@@ -167,7 +198,8 @@ func (cc *CompileCache) Keys() []CacheKey {
 // historical compile cost, credited to CompileMsSaved when jobs hit the
 // entry. Reports false if the key is already present.
 func (cc *CompileCache) InstallWarm(key CacheKey, cv *harness.Compiled, compileTime time.Duration) bool {
-	e := &cacheEntry{ready: make(chan struct{}), cv: cv, compileTime: compileTime, warm: true}
+	e := &cacheEntry{flight: newFlight[*harness.Compiled](), compileTime: compileTime, warm: true}
+	e.val = cv
 	close(e.ready)
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -239,9 +271,7 @@ func (cc *CompileCache) Snapshot() []CacheEntryView {
 	defer cc.mu.Unlock()
 	views := make([]CacheEntryView, 0, len(cc.entries))
 	for key, e := range cc.entries {
-		select {
-		case <-e.ready:
-		default:
+		if !e.finished() {
 			continue // still compiling
 		}
 		v := CacheEntryView{
@@ -254,7 +284,7 @@ func (cc *CompileCache) Snapshot() []CacheEntryView {
 		if e.err != nil {
 			v.Failed, v.Error = true, e.err.Error()
 		} else {
-			p := e.cv.Program
+			p := e.val.Program
 			v.Partitions, v.Kernels = p.NumParts, len(p.Kernels)
 			v.CodeBytes, v.TableBytes = p.UniqueCodeBytes, p.TableBytes
 			v.InstrsBeforeFusion, v.InstrsAfterFusion = int64(p.Fusion.InstrsBefore), int64(p.Fusion.InstrsAfter)

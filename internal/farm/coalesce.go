@@ -191,21 +191,22 @@ func (f *Farm) runBatchAttempt(jobs []*Job, ctxs []context.Context, timeouts []t
 	}
 
 	cstart := time.Now()
-	c, cv, hit, compileTime, err := f.compileSpec(ctxs[0], jobs[0].Spec)
+	cd, err := f.compileSpec(ctxs[0], jobs[0])
 	// One shared compile serves every lane; each lane's trace records it
 	// so per-job timelines stay complete.
 	for _, j := range jobs {
 		j.trace.Span("compile", cstart, time.Since(cstart),
-			"hit", strconv.FormatBool(hit), "shared", "true")
+			"hit", strconv.FormatBool(cd.hit), "design_hit", strconv.FormatBool(cd.designHit),
+			"shared", "true")
 	}
 	if err != nil {
 		return preempted, err
 	}
-	hash := c.StructuralHash()
+	c, cv := cd.c, cd.cv
 	for _, j := range jobs {
 		j.mu.Lock()
-		j.hash, j.hashed = hash, true
-		j.cacheHit = hit
+		j.hash, j.hashed = cd.hash, true
+		j.cacheHit = cd.hit
 		j.mu.Unlock()
 	}
 
@@ -262,9 +263,9 @@ func (f *Farm) runBatchAttempt(jobs []*Job, ctxs []context.Context, timeouts []t
 		f.obs.simRunObs(time.Since(start))
 	}
 	complete := func(l int) {
-		stats := CollectLaneStats(c, cv, be, l, 0, time.Since(start))
+		stats := CollectLaneStats(c, cd.hash, cv, be, l, 0, time.Since(start))
 		if l == 0 {
-			stats.CompileMs = float64(compileTime) / float64(time.Millisecond)
+			stats.CompileMs = float64(cd.compileTime) / float64(time.Millisecond)
 		}
 		stats.Workload = names[l]
 		j := jobs[l]

@@ -71,6 +71,7 @@ func Open(cfg Config) (*Farm, error) {
 	f := &Farm{
 		cfg:            cfg,
 		cache:          NewCompileCache(),
+		designs:        newDesignStore(),
 		jobs:           map[string]*Job{},
 		retriesByCause: map[string]int64{},
 		wake:           make(chan struct{}, cfg.QueueDepth),
@@ -170,6 +171,7 @@ func (f *Farm) recoverFromStore() error {
 			ID:         id,
 			Spec:       spec,
 			farm:       f,
+			batch:      jobBatchKey(spec),
 			status:     StatusQueued,
 			created:    now,
 			enqueuedAt: now,
@@ -314,19 +316,21 @@ func (f *Farm) warmCompileCache() (warmed, fromArtifact int64) {
 			f.store.RemoveArtifact(name)
 		}
 
-		c, err := p.DesignSpec.Build()
-		if err != nil || c.StructuralHash().String() != p.Hash {
+		// Through the design store: the variants of one design elaborate
+		// once here, and the recovered jobs about to run find it resident.
+		d, _, err := f.design(f.ctx, p.DesignSpec.Key(), p.DesignSpec)
+		if err != nil || d.hash.String() != p.Hash {
 			f.store.RemoveCacheEntry(name)
 			f.store.RemoveArtifact(name)
 			continue
 		}
-		cv, err := harness.CompileVariant(c, variant, partition.Options{})
+		cv, err := harness.CompileVariant(d.c, variant, partition.Options{})
 		if err != nil {
 			f.store.RemoveCacheEntry(name)
 			f.store.RemoveArtifact(name)
 			continue
 		}
-		key := CacheKey{Hash: c.StructuralHash(), Variant: variant}
+		key := CacheKey{Hash: d.hash, Variant: variant}
 		if f.cache.InstallWarm(key, cv, compileTime) {
 			warmed++
 			// Re-persist the artifact so the next restart takes the fast
@@ -390,19 +394,31 @@ func (f *Farm) journal(r durable.Record) {
 	}
 }
 
-// journalAdmitLocked journals a job's admission. Called with f.mu held
-// (Submit), which keeps the journal's admit order identical to ID order
-// — recovery re-admits in the order the records appear.
-func (f *Farm) journalAdmitLocked(j *Job) {
+// marshalAdmit encodes a spec for its admit record (nil without a store,
+// or when the spec does not marshal — counted as a durable write error).
+// The spec carries the whole FIRRTL text, so Submit calls this before
+// taking f.mu.
+func (f *Farm) marshalAdmit(spec JobSpec) json.RawMessage {
 	if f.store == nil {
-		return
+		return nil
 	}
-	b, err := json.Marshal(j.Spec)
+	b, err := json.Marshal(spec)
 	if err != nil {
 		f.durableErrs.Add(1)
+		return nil
+	}
+	return b
+}
+
+// journalAdmitLocked appends a job's admit record (spec from
+// marshalAdmit). Called with f.mu held (Submit), which keeps the
+// journal's admit order identical to ID order — recovery re-admits in
+// the order the records appear.
+func (f *Farm) journalAdmitLocked(j *Job, spec json.RawMessage) {
+	if spec == nil {
 		return
 	}
-	f.journal(durable.Record{Type: durable.RecAdmit, Job: j.ID, Spec: b})
+	f.journal(durable.Record{Type: durable.RecAdmit, Job: j.ID, Spec: spec})
 }
 
 // journalStart journals a job's transition to running.

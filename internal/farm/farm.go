@@ -191,7 +191,10 @@ type Job struct {
 	Spec JobSpec
 
 	farm *Farm
-	mu   sync.Mutex
+	// batch is the job's coalescing key, design content key included;
+	// computed once when the job is admitted, immutable after.
+	batch batchKey
+	mu    sync.Mutex
 
 	status   Status
 	attempts int
@@ -356,6 +359,9 @@ func transientCause(err error) string {
 type Farm struct {
 	cfg   Config
 	cache *CompileCache
+	// designs interns elaborated designs by content (see designs.go). It
+	// lives and dies with the farm, like the cache.
+	designs *designStore
 
 	// store is the durability tier (nil without Config.DataDir: every
 	// durability hook is then one nil test). recovery summarizes the
@@ -576,6 +582,11 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 	if ra, ok := f.cfg.Tenants.Admit(spec.Tenant); !ok {
 		return nil, &ThrottledError{Tenant: spec.Tenant, RetryAfter: ra}
 	}
+	// Everything proportional to the spec's size — digesting the design
+	// for the batch key, marshaling the admit record — happens before
+	// f.mu, the lock every dequeue needs too.
+	batch := jobBatchKey(spec)
+	admit := f.marshalAdmit(spec)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	// Checked under f.mu (Close sets it under f.mu before draining the
@@ -608,6 +619,7 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 		ID:         fmt.Sprintf("job-%d", f.nextID),
 		Spec:       spec,
 		farm:       f,
+		batch:      batch,
 		status:     StatusQueued,
 		created:    now,
 		enqueuedAt: now,
@@ -626,9 +638,9 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 	f.jobs[j.ID] = j
 	f.order = append(f.order, j.ID)
 	f.pending = append(f.pending, j)
-	// Journaled under f.mu so admit records land in ID order; recovery
+	// Appended under f.mu so admit records land in ID order; recovery
 	// re-admits in record order and preserves submission fairness.
-	f.journalAdmitLocked(j)
+	f.journalAdmitLocked(j, admit)
 	// The tenant joins the virtual clock at the current floor (idle time
 	// earns no scheduling credit) and is accounted one accepted job.
 	f.cfg.Tenants.NoteSubmitted(spec.Tenant)
@@ -837,20 +849,20 @@ func (f *Farm) preemptStuck() {
 }
 
 // batchKey identifies jobs that may share one compiled Program and hence
-// one BatchEngine: same design source, simulator variant, and tenant.
-// Workload, seed, cycle budget, and timeout may differ per lane. The
-// tenant is part of the key so coalescing happens within a tenant's
-// runnable set — a batch's cycles are charged to exactly one tenant.
+// one BatchEngine: same design source (by content key, so comparing two
+// pending jobs under f.mu never touches their FIRRTL text), simulator
+// variant, and tenant. Workload, seed, cycle budget, and timeout may
+// differ per lane. The tenant is part of the key so coalescing happens
+// within a tenant's runnable set — a batch's cycles are charged to
+// exactly one tenant.
 type batchKey struct {
-	design  string
-	scale   float64
-	firrtl  string
+	design  DesignKey
 	variant string
 	tenant  string
 }
 
 func jobBatchKey(s JobSpec) batchKey {
-	return batchKey{design: s.Design, scale: s.Scale, firrtl: s.FIRRTL, variant: s.Variant, tenant: s.Tenant}
+	return batchKey{design: s.Key(), variant: s.Variant, tenant: s.Tenant}
 }
 
 // resumable reports whether a still-queued job already holds a resume
@@ -913,13 +925,13 @@ func (f *Farm) takeBatch() []*Job {
 			claim := len(batch) == 0 ||
 				(f.cfg.MaxLanes > 1 && len(batch) < f.cfg.MaxLanes &&
 					!batch[0].Spec.VCD && !resumable(batch[0]) &&
-					!j.Spec.VCD && !resumable(j) && jobBatchKey(j.Spec) == key)
+					!j.Spec.VCD && !resumable(j) && j.batch == key)
 			if !claim {
 				rest = append(rest, j)
 				continue
 			}
 			if len(batch) == 0 {
-				key = jobBatchKey(j.Spec)
+				key = j.batch
 			}
 			batch = append(batch, j)
 			budget += int64(j.Spec.Cycles)
@@ -1055,29 +1067,46 @@ func (f *Farm) backoff(ctx context.Context, j *Job, attempt int) error {
 	}
 }
 
-// compileSpec elaborates and compiles a job spec's design through the
-// cache, applying compile-stage fault injection. The elaborated circuit
-// is returned even when compilation fails (for hash reporting).
-func (f *Farm) compileSpec(ctx context.Context, spec JobSpec) (c *circuit.Circuit, cv *harness.Compiled, hit bool, compileTime time.Duration, err error) {
-	c, err = spec.Build()
+// compiled is what compileSpec resolves for one attempt: the interned
+// design and its Program, and whether each was already resident.
+type compiled struct {
+	design
+	cv          *harness.Compiled
+	designHit   bool
+	hit         bool          // compile-cache hit
+	compileTime time.Duration // 0 on a hit
+}
+
+// compileSpec resolves a job's design through the design store and its
+// Program through the compile cache, applying compile-stage fault
+// injection. The design is returned even when compilation fails (for
+// hash reporting).
+func (f *Farm) compileSpec(ctx context.Context, j *Job) (out compiled, err error) {
+	spec := j.Spec
+	out.design, out.designHit, err = f.design(ctx, j.batch.design, spec.DesignSpec)
 	if err != nil {
-		return nil, nil, false, 0, err
+		if errors.Is(err, ErrCompilePanicked) {
+			// We coalesced onto an elaboration that panicked under another
+			// job; the store dropped the key, so a retry rebuilds.
+			err = TransientCause("panic", err)
+		}
+		return out, err
 	}
 	variant := harness.Variant(spec.Variant)
-	key := CacheKey{Hash: c.StructuralHash(), Variant: variant}
+	key := CacheKey{Hash: out.hash, Variant: variant}
 	// Before paying a compile, ask the fleet: a peer (or the router's
 	// replicated artifact cache) may already hold this Program.
 	f.fetchArtifactWarm(ctx, spec, key)
 	faults := f.cfg.Faults
 	compileStart := time.Now()
-	cv, hit, err = f.cache.Get(ctx, key, func() (*harness.Compiled, error) {
+	out.cv, out.hit, err = f.cache.Get(ctx, key, func() (*harness.Compiled, error) {
 		if faults.Fire(faultinject.CompileStall) {
 			faults.Sleep(ctx)
 		}
 		if faults.Fire(faultinject.CompilePanic) {
 			panic("faultinject: compile panic")
 		}
-		return harness.CompileVariant(c, variant, partition.Options{})
+		return harness.CompileVariant(out.c, variant, partition.Options{})
 	})
 	if err != nil {
 		err = fmt.Errorf("compile: %w", err)
@@ -1086,24 +1115,24 @@ func (f *Farm) compileSpec(ctx context.Context, spec JobSpec) (c *circuit.Circui
 			// the cache dropped the entry, so a retry recompiles.
 			err = TransientCause("panic", err)
 		}
-		return c, nil, hit, 0, err
+		return out, err
 	}
-	if !hit {
-		compileTime = time.Since(compileStart)
+	if !out.hit {
+		out.compileTime = time.Since(compileStart)
 		f.mu.Lock()
-		f.compileWall += compileTime
+		f.compileWall += out.compileTime
 		f.mu.Unlock()
 		f.cfg.Tenants.NoteCompile(spec.Tenant)
-		f.obs.compileObs(compileTime)
+		f.obs.compileObs(out.compileTime)
 		// Persist the design metadata (warm-recompile fallback) and the
 		// compiled artifact bytes (fast path: decode instead of recompile)
 		// so a restarted farm warms before taking jobs.
-		f.persistCompile(spec, key, compileTime)
-		if data, aerr := EncodeArtifact(cv, compileTime); aerr == nil {
+		f.persistCompile(spec, key, out.compileTime)
+		if data, aerr := EncodeArtifact(out.cv, out.compileTime); aerr == nil {
 			f.persistArtifact(key, data)
 		}
 	}
-	return c, cv, hit, compileTime, nil
+	return out, nil
 }
 
 // runAttempt elaborates, compiles (through the cache), and simulates,
@@ -1159,19 +1188,20 @@ func (f *Farm) runAttempt(ctx context.Context, j *Job, attempt int) (err error) 
 	}
 
 	compileStart := time.Now()
-	c, cv, hit, compileTime, err := f.compileSpec(actx, j.Spec)
+	cd, err := f.compileSpec(actx, j)
 	j.trace.Span("compile", compileStart, time.Since(compileStart),
-		"hit", strconv.FormatBool(hit))
+		"hit", strconv.FormatBool(cd.hit), "design_hit", strconv.FormatBool(cd.designHit))
+	c, cv := cd.c, cd.cv
 	if c != nil {
 		j.mu.Lock()
-		j.hash, j.hashed = c.StructuralHash(), true
+		j.hash, j.hashed = cd.hash, true
 		j.mu.Unlock()
 	}
 	if err != nil {
 		return err
 	}
 	j.mu.Lock()
-	j.cacheHit = hit
+	j.cacheHit = cd.hit
 	j.mu.Unlock()
 
 	wl, err := workloadByName(j.Spec.Workload)
@@ -1280,7 +1310,7 @@ func (f *Farm) runAttempt(ctx context.Context, j *Job, attempt int) (err error) 
 		}
 	}
 
-	stats := CollectStats(c, cv, e, compileTime, wall)
+	stats := CollectStats(c, cd.hash, cv, e, cd.compileTime, wall)
 	stats.Workload = wl.Name
 	j.mu.Lock()
 	j.stats = &stats

@@ -44,7 +44,10 @@ type Stats struct {
 	Recovery           *RecoveryStats `json:"recovery,omitempty"`
 	DurableWriteErrors int64          `json:"durable_write_errors,omitempty"`
 
-	Cache CacheStats `json:"cache"`
+	// Designs is the design store in front of the compile cache: per-job
+	// parse + elaborate + hash avoided (hits) and paid (misses).
+	Designs DesignStoreStats `json:"design_store"`
+	Cache   CacheStats       `json:"cache"`
 	// CompileMsSpent is the wall time spent compiling (cache misses).
 	CompileMsSpent float64 `json:"compile_ms_spent"`
 	// ArtifactsFetched counts compile artifacts imported from peers (or
@@ -130,6 +133,7 @@ func (f *Farm) Stats() Stats {
 	if st.SimWallMs > 0 {
 		st.AggregateSimHz = float64(st.SimulatedCycles) / (st.SimWallMs / 1000)
 	}
+	st.Designs = f.designs.stats()
 	st.Cache = f.cache.Stats()
 	st.Recovery = f.recovery
 	st.DurableWriteErrors = f.durableErrs.Load()
@@ -176,6 +180,8 @@ func (f *Farm) WriteStats(w io.Writer) {
 	if st.DurableWriteErrors > 0 {
 		fmt.Fprintf(w, "DEGRADED: %d durable write errors (journal/checkpoints best-effort)\n", st.DurableWriteErrors)
 	}
+	fmt.Fprintf(w, "design store: %d designs resident, %d hits / %d misses (elaborations), %d evicted\n",
+		st.Designs.Resident, st.Designs.Hits, st.Designs.Misses, st.Designs.Evictions)
 	fmt.Fprintf(w, "compile cache: %d programs, %d hits (%d warm) / %d misses, %.0f ms compiling, %.0f ms saved\n",
 		st.Cache.Entries, st.Cache.Hits, st.Cache.WarmHits, st.Cache.Misses,
 		st.CompileMsSpent, st.Cache.CompileMsSaved)

@@ -171,6 +171,11 @@ func (f *Farm) WriteProm(w io.Writer) error {
 	p.Counter("dedupfarm_cycles_saved_by_resume_total", "Cycles retries skipped by resuming from checkpoints.", float64(st.CyclesSavedByResume))
 	p.Counter("dedupfarm_durable_write_errors_total", "Failed journal or checkpoint writes.", float64(st.DurableWriteErrors))
 
+	p.Gauge("dedupfarm_design_store_resident", "Elaborated designs resident in the design store.", float64(st.Designs.Resident))
+	p.Counter("dedupfarm_design_store_hits_total", "Jobs served a resident design (no parse, elaborate or hash).", float64(st.Designs.Hits))
+	p.Counter("dedupfarm_design_store_misses_total", "Designs parsed, elaborated and hashed.", float64(st.Designs.Misses))
+	p.Counter("dedupfarm_design_store_evictions_total", "Designs evicted from the bounded design store.", float64(st.Designs.Evictions))
+
 	p.Gauge("dedupfarm_cache_entries", "Compiled programs resident in the cache.", float64(st.Cache.Entries))
 	p.Counter("dedupfarm_cache_hits_total", "Compile-cache hits.", float64(st.Cache.Hits))
 	p.Counter("dedupfarm_cache_misses_total", "Compile-cache misses.", float64(st.Cache.Misses))

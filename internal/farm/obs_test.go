@@ -76,6 +76,13 @@ func TestServerObservability(t *testing.T) {
 			t.Errorf("trace missing %q event (have %v)", want, tv.Events)
 		}
 	}
+	// The compile span says whether this job paid for an elaboration and
+	// for a compile: the farm's first job pays for both.
+	for _, e := range tv.Events {
+		if e.Name == "compile" && (e.Attrs["design_hit"] != "false" || e.Attrs["hit"] != "false") {
+			t.Errorf("first job's compile span attrs = %v, want design_hit=false hit=false", e.Attrs)
+		}
+	}
 
 	// Chrome export: one JSON document Perfetto opens — metadata plus X/i
 	// events, JSON content type.
@@ -153,6 +160,10 @@ func TestServerObservability(t *testing.T) {
 	}
 	for _, want := range []string{
 		"dedupfarm_jobs_submitted_total",
+		"dedupfarm_design_store_hits_total 0",
+		"dedupfarm_design_store_misses_total 1",
+		"dedupfarm_design_store_evictions_total 0",
+		"dedupfarm_design_store_resident 1",
 		"dedupfarm_job_seconds_bucket",
 		"dedupfarm_queue_wait_seconds_count",
 		"dedupfarm_sim_run_seconds_sum",

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +100,18 @@ func TestServerEndToEnd(t *testing.T) {
 	if st.JobsCompleted != 2 || st.Cache.Misses != 1 || st.Cache.Hits != 1 {
 		t.Errorf("stats = %+v, want 2 done, 1 miss, 1 hit", st)
 	}
+	// Same story one step earlier: one elaboration shared by two jobs. The
+	// block's shape is fixed — four numbers, whatever the traffic.
+	var shape struct {
+		DesignStore map[string]float64 `json:"design_store"`
+	}
+	if err := json.Unmarshal(body, &shape); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"hits": 1, "misses": 1, "evictions": 0, "resident": 1}
+	if !reflect.DeepEqual(shape.DesignStore, want) {
+		t.Errorf("/stats design_store = %v, want %v", shape.DesignStore, want)
+	}
 
 	code, body = get("/cache")
 	if code != http.StatusOK {
@@ -132,7 +145,8 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	code, body = get("/statusz")
-	if code != http.StatusOK || !strings.Contains(string(body), "compile cache: 1 programs") {
+	if code != http.StatusOK || !strings.Contains(string(body), "compile cache: 1 programs") ||
+		!strings.Contains(string(body), "design store: 1 designs resident, 1 hits / 1 misses") {
 		t.Errorf("/statusz: %d %s", code, body)
 	}
 

@@ -44,42 +44,16 @@ type SimStats struct {
 	Outputs map[string]string `json:"outputs"`
 }
 
-// CollectStats assembles a SimStats from a finished run.
-func CollectStats(c *circuit.Circuit, cv *harness.Compiled, e *sim.Engine, compile, wall time.Duration) SimStats {
-	prog := cv.Program
-	st := SimStats{
-		Design:       c.Name,
-		Nodes:        c.NumNodes(),
-		CircuitHash:  c.StructuralHash().String(),
-		Variant:      string(cv.Variant),
-		Partitions:   prog.NumParts,
-		Kernels:      len(prog.Kernels),
-		CodeBytes:    prog.UniqueCodeBytes,
-		TableBytes:   prog.TableBytes,
-		CompileMs:    float64(compile) / float64(time.Millisecond),
-		Cycles:       e.Cycles,
-		WallMs:       float64(wall) / float64(time.Millisecond),
-		ActsExecuted: e.ActsExecuted,
-		ActsSkipped:  e.ActsSkipped,
-		DynInstrs:    e.DynInstrs,
-		Outputs:      map[string]string{},
-	}
-	if cv.Dedup != nil {
-		st.SharedClasses = cv.Dedup.NumClasses
-	}
-	if wall > 0 {
-		st.SimHz = float64(e.Cycles) / wall.Seconds()
-	}
-	if total := e.ActsExecuted + e.ActsSkipped; total > 0 {
-		st.ActivityPct = 100 * float64(e.ActsExecuted) / float64(total)
-	}
-	for _, out := range c.Outputs() {
-		name := c.Names[out]
-		v, err := e.Output(name)
-		if err == nil {
-			st.Outputs[name] = fmt.Sprintf("%#x", v)
-		}
-	}
+// CollectStats assembles a SimStats from a finished run. hash is the
+// circuit's structural hash, computed once by whoever elaborated it (the
+// farm's design store, or dedupsim itself) rather than once per record.
+func CollectStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, e *sim.Engine, compile, wall time.Duration) SimStats {
+	st := designStats(c, hash, cv, compile, wall)
+	st.Cycles = e.Cycles
+	st.ActsExecuted = e.ActsExecuted
+	st.ActsSkipped = e.ActsSkipped
+	st.DynInstrs = e.DynInstrs
+	st.finish(c, wall, e.Output)
 	return st
 }
 
@@ -88,29 +62,43 @@ func CollectStats(c *circuit.Circuit, cv *harness.Compiled, e *sim.Engine, compi
 // wall is the batch's elapsed time up to this lane's exit, so SimHz is
 // the lane's share of the lockstep run, and the per-job numbers sum to
 // the batch aggregate.
-func CollectLaneStats(c *circuit.Circuit, cv *harness.Compiled, be *sim.BatchEngine, lane int, compile, wall time.Duration) SimStats {
+func CollectLaneStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, be *sim.BatchEngine, lane int, compile, wall time.Duration) SimStats {
+	st := designStats(c, hash, cv, compile, wall)
+	st.Lanes = be.Lanes()
+	st.Cycles = be.Cycles[lane]
+	st.ActsExecuted = be.ActsExecuted[lane]
+	st.ActsSkipped = be.ActsSkipped[lane]
+	st.DynInstrs = be.DynInstrs[lane]
+	st.finish(c, wall, func(name string) (uint64, error) { return be.Output(lane, name) })
+	return st
+}
+
+// designStats fills the fields that depend only on the design, its
+// Program and the clock — everything but the engine's counters.
+func designStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, compile, wall time.Duration) SimStats {
 	prog := cv.Program
 	st := SimStats{
-		Design:       c.Name,
-		Nodes:        c.NumNodes(),
-		CircuitHash:  c.StructuralHash().String(),
-		Variant:      string(cv.Variant),
-		Partitions:   prog.NumParts,
-		Kernels:      len(prog.Kernels),
-		CodeBytes:    prog.UniqueCodeBytes,
-		TableBytes:   prog.TableBytes,
-		CompileMs:    float64(compile) / float64(time.Millisecond),
-		Lanes:        be.Lanes(),
-		Cycles:       be.Cycles[lane],
-		WallMs:       float64(wall) / float64(time.Millisecond),
-		ActsExecuted: be.ActsExecuted[lane],
-		ActsSkipped:  be.ActsSkipped[lane],
-		DynInstrs:    be.DynInstrs[lane],
-		Outputs:      map[string]string{},
+		Design:      c.Name,
+		Nodes:       c.NumNodes(),
+		CircuitHash: hash.String(),
+		Variant:     string(cv.Variant),
+		Partitions:  prog.NumParts,
+		Kernels:     len(prog.Kernels),
+		CodeBytes:   prog.UniqueCodeBytes,
+		TableBytes:  prog.TableBytes,
+		CompileMs:   float64(compile) / float64(time.Millisecond),
+		WallMs:      float64(wall) / float64(time.Millisecond),
+		Outputs:     map[string]string{},
 	}
 	if cv.Dedup != nil {
 		st.SharedClasses = cv.Dedup.NumClasses
 	}
+	return st
+}
+
+// finish derives the rates from the counters already set and reads the
+// final outputs through the engine's (or lane's) accessor.
+func (st *SimStats) finish(c *circuit.Circuit, wall time.Duration, output func(string) (uint64, error)) {
 	if wall > 0 {
 		st.SimHz = float64(st.Cycles) / wall.Seconds()
 	}
@@ -119,10 +107,8 @@ func CollectLaneStats(c *circuit.Circuit, cv *harness.Compiled, be *sim.BatchEng
 	}
 	for _, out := range c.Outputs() {
 		name := c.Names[out]
-		v, err := be.Output(lane, name)
-		if err == nil {
+		if v, err := output(name); err == nil {
 			st.Outputs[name] = fmt.Sprintf("%#x", v)
 		}
 	}
-	return st
 }

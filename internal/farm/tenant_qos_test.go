@@ -61,21 +61,46 @@ func TestFarmTenantFairness(t *testing.T) {
 	aliceIDs := submitTenant("alice", 40, 2000)
 	bobIDs := submitTenant("bob", 100, 3000)
 
-	// The hog ran alone while its flood (and the later submissions) were
-	// being enqueued; baseline its head start out of the measurement.
-	base := f.Stats().Tenants["hog"].Cycles
-
-	for _, id := range aliceIDs {
-		if v := waitDone(t, f, id); v.Status != StatusDone {
-			t.Fatalf("alice job %s: %s (%s)", id, v.Status, v.Error)
+	// The contended window opens once the last submission is in (the hog
+	// ran alone, and then against alice alone, while the rest was being
+	// enqueued) and closes when alice's last job finishes. It is read off
+	// the jobs' own timestamps: a job lasts ~100 µs, so a test goroutine
+	// racing the workers to snapshot Stats at "the moment alice finished"
+	// would measure its own scheduling delay instead.
+	finished := func(ids []string) []time.Time {
+		at := make([]time.Time, len(ids))
+		for i, id := range ids {
+			v := waitDone(t, f, id)
+			if v.Status != StatusDone {
+				t.Fatalf("job %s: %s (%s)", id, v.Status, v.Error)
+			}
+			at[i] = v.FinishedAt
+		}
+		return at
+	}
+	aliceAt, bobAt, hogAt := finished(aliceIDs), finished(bobIDs), finished(hogIDs)
+	last, _ := f.Job(bobIDs[len(bobIDs)-1])
+	openAt, closeAt := last.View().CreatedAt, aliceAt[0]
+	for _, at := range aliceAt {
+		if at.After(closeAt) {
+			closeAt = at
 		}
 	}
-	st := f.Stats()
-	alice := st.Tenants["alice"].Cycles
-	bob := st.Tenants["bob"].Cycles
-	hog := st.Tenants["hog"].Cycles - base
-	if alice != int64(len(aliceIDs)*cycles) {
-		t.Fatalf("alice consumed %d cycles, want exactly %d", alice, len(aliceIDs)*cycles)
+	consumed := func(at []time.Time) int64 {
+		var n int64
+		for _, ts := range at {
+			if ts.After(openAt) && !ts.After(closeAt) {
+				n += cycles
+			}
+		}
+		return n
+	}
+	alice, bob, hog := consumed(aliceAt), consumed(bobAt), consumed(hogAt)
+	if total := f.Stats().Tenants["alice"].Cycles; total != int64(len(aliceIDs)*cycles) {
+		t.Fatalf("alice consumed %d cycles, want exactly %d", total, len(aliceIDs)*cycles)
+	}
+	if alice < int64(len(aliceIDs)*cycles)/2 {
+		t.Fatalf("only %d of alice's cycles fall in the contended window; the queue drained during submission", alice)
 	}
 	within := func(got, want int64, tol float64, label string) {
 		lo := int64(float64(want) * (1 - tol))
@@ -89,15 +114,16 @@ func TestFarmTenantFairness(t *testing.T) {
 	// and bob runs at twice their rate.
 	within(hog, alice, 0.10, "hog (weight 1)")
 	within(bob, 2*alice, 0.10, "bob (weight 2)")
-	if q := st.Tenants["hog"].Queued; q < 200 {
-		t.Errorf("hog backlog down to %d queued jobs when alice finished; FIFO drain suspected (want >= 200 of 400 left)", q)
-	}
-
-	for _, id := range append(bobIDs, hogIDs...) {
-		if v := waitDone(t, f, id); v.Status != StatusDone {
-			t.Fatalf("job %s: %s (%s)", id, v.Status, v.Error)
+	hogLeft := 0
+	for _, at := range hogAt {
+		if at.After(closeAt) {
+			hogLeft++
 		}
 	}
+	if hogLeft < 200 {
+		t.Errorf("hog backlog down to %d unfinished jobs when alice finished; FIFO drain suspected (want >= 200 of 400 left)", hogLeft)
+	}
+
 	end := f.Stats()
 	aw, hw := end.Tenants["alice"].QueueWait, end.Tenants["hog"].QueueWait
 	if aw == nil || hw == nil {

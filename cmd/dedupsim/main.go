@@ -150,7 +150,7 @@ func main() {
 			fail(err)
 		}
 		vcdFile = f
-		prober = sim.NewEngineProber(e, c)
+		prober = sim.NewEngineProber(prog, e.Slot, c)
 		var probes []string
 		for _, n := range sim.ProbeNames(c) {
 			if _, _, ok := prober.Probe(n); ok {
@@ -239,7 +239,8 @@ func main() {
 	}
 
 	if *jsonOut {
-		st := farm.CollectStats(c, c.StructuralHash(), cv, e, compileTime, wall)
+		n := farm.Counters{Cycles: e.Cycles, ActsExecuted: e.ActsExecuted, ActsSkipped: e.ActsSkipped, DynInstrs: e.DynInstrs}
+		st := farm.CollectStats(c, c.StructuralHash(), cv, n, e.Output, compileTime, wall)
 		st.Workload = wl.Name
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

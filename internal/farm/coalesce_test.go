@@ -58,13 +58,14 @@ func waitRunning(t *testing.T, f *Farm, id string) {
 
 // TestFarmCoalesceMatchesScalar is the coalescing contract: jobs batched
 // into one BatchEngine report exactly the stats (outputs, cycle and
-// activation counters) they would from dedicated scalar engines.
+// activation counters) they would running alone, which the sim tests
+// hold bit-exact with dedicated scalar engines.
 func TestFarmCoalesceMatchesScalar(t *testing.T) {
 	const lanes = 4
 	spec := smallSpec()
 
-	// Reference: a non-coalescing farm runs the same specs on scalar
-	// engines.
+	// Reference: a non-coalescing farm runs the same specs one job per
+	// engine.
 	ref := New(Config{Workers: 2})
 	refIDs := submitN(t, ref, spec, 100, lanes)
 	refViews := make([]JobView, lanes)
@@ -98,11 +99,11 @@ func TestFarmCoalesceMatchesScalar(t *testing.T) {
 		}
 		if s.Cycles != r.Cycles || s.ActsExecuted != r.ActsExecuted ||
 			s.ActsSkipped != r.ActsSkipped || s.DynInstrs != r.DynInstrs {
-			t.Errorf("%s counters diverged from scalar: %+v vs %+v", id, s, r)
+			t.Errorf("%s counters diverged from the solo run: %+v vs %+v", id, s, r)
 		}
 		for name, val := range r.Outputs {
 			if s.Outputs[name] != val {
-				t.Errorf("%s output %s: batch %s, scalar %s", id, name, s.Outputs[name], val)
+				t.Errorf("%s output %s: batch %s, solo %s", id, name, s.Outputs[name], val)
 			}
 		}
 	}
@@ -161,9 +162,9 @@ func TestFarmCoalesceLaneBudgetsAndCancel(t *testing.T) {
 	}
 }
 
-// TestFarmCoalesceVCDStaysScalar: waveform jobs never join a batch; they
-// run on a dedicated scalar engine and still produce their VCD.
-func TestFarmCoalesceVCDStaysScalar(t *testing.T) {
+// TestFarmCoalesceVCDRunsAlone: waveform jobs never join a batch; they
+// run as a group of one and still produce their VCD.
+func TestFarmCoalesceVCDRunsAlone(t *testing.T) {
 	f := New(Config{Workers: 1, MaxLanes: 4})
 	defer f.Close()
 	unblock := blockWorker(t, f)
@@ -195,8 +196,8 @@ func TestFarmCoalesceVCDStaysScalar(t *testing.T) {
 	}
 }
 
-// TestFarmCoalesceTransientRetry: a transient batch failure falls back to
-// per-job scalar retries, preserving the retry-once policy.
+// TestFarmCoalesceTransientRetry: a transient batch failure re-runs each
+// job alone, as a group of one, preserving the retry-once policy.
 func TestFarmCoalesceTransientRetry(t *testing.T) {
 	f := New(Config{Workers: 1, MaxLanes: 2})
 	defer f.Close()
@@ -227,10 +228,10 @@ func TestFarmCoalesceTransientRetry(t *testing.T) {
 		t.Fatalf("statuses: %s (%s), %s (%s)", v1.Status, v1.Error, v2.Status, v2.Error)
 	}
 	if v1.Attempts != 2 || v2.Attempts != 2 {
-		t.Errorf("attempts = %d, %d, want 2, 2 (scalar fallback)", v1.Attempts, v2.Attempts)
+		t.Errorf("attempts = %d, %d, want 2, 2 (batch abort + solo re-run)", v1.Attempts, v2.Attempts)
 	}
 	if v1.Stats.Lanes != 0 || v2.Stats.Lanes != 0 {
-		t.Errorf("fallback runs report lanes %d, %d, want scalar", v1.Stats.Lanes, v2.Stats.Lanes)
+		t.Errorf("re-runs report lanes %d, %d, want 0 (groups of one)", v1.Stats.Lanes, v2.Stats.Lanes)
 	}
 }
 
@@ -287,12 +288,11 @@ func TestFarmCoalesceChurn(t *testing.T) {
 }
 
 // TestFarmBatchSingleLaneStaysOnBatchEngine is the unified-engine
-// regression guard: a coalesced group that degenerates to a single live
-// lane (its other members canceled between claim and start) stays on the
-// batch path — BatchEngine.Step at L=1 dispatches to the scalar code
-// path, so the farm no longer carries a scalar special case for it. The
-// job must report Lanes=1 and finish bit-exact with a plain scalar run,
-// counters included.
+// regression guard: a group of one — a solo job, or a coalesced group
+// whose other members were canceled between claim and start — runs on a
+// one-lane BatchEngine, whose Step dispatches to the scalar code path.
+// The job must report Lanes=0 (it had the engine to itself) and finish
+// bit-exact with the reference run, counters included.
 func TestFarmBatchSingleLaneStaysOnBatchEngine(t *testing.T) {
 	want := runReference(t, smallSpec())
 
@@ -305,11 +305,11 @@ func TestFarmBatchSingleLaneStaysOnBatchEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drive the batch path directly with a one-job group — exactly the
-	// state runBatch sees when every other lane of a claimed batch died
-	// before the engines spun up. The farm's only worker is pinned by
+	// Drive the run path directly with a one-job group — exactly the
+	// state serve sees when every other lane of a claimed batch died
+	// before the engine spun up. The farm's only worker is pinned by
 	// blockWorker, so nothing races us for the job.
-	f.runBatch([]*Job{j})
+	f.serve([]*Job{j})
 
 	v := j.View()
 	if v.Status != StatusDone {
@@ -318,15 +318,77 @@ func TestFarmBatchSingleLaneStaysOnBatchEngine(t *testing.T) {
 	if v.Stats == nil {
 		t.Fatal("single-lane batch finished without stats")
 	}
-	if v.Stats.Lanes != 1 {
-		t.Fatalf("single-lane group reported lanes=%d, want 1 (unified batch engine, no scalar fallback)",
-			v.Stats.Lanes)
+	if v.Stats.Lanes != 0 {
+		t.Fatalf("single-lane group reported lanes=%d, want 0 (a group of one)", v.Stats.Lanes)
 	}
 	if v.Stats.Cycles != want.Stats.Cycles ||
 		v.Stats.ActsExecuted != want.Stats.ActsExecuted ||
 		v.Stats.DynInstrs != want.Stats.DynInstrs ||
 		!reflect.DeepEqual(v.Stats.Outputs, want.Stats.Outputs) {
-		t.Errorf("single-lane batch diverged from scalar reference:\n got %+v\nwant %+v",
+		t.Errorf("single-lane batch diverged from the reference run:\n got %+v\nwant %+v",
 			v.Stats, want.Stats)
+	}
+}
+
+// TestFarmTraceRunTilesQueued pins the run path's trace tiling exactly,
+// not as a coverage percentage: a job's first run span starts on the
+// instant its queued span ends (compile and engine construction sit
+// inside the run span), and its done event falls inside its last run
+// span. Checked for a solo job and for each lane of a two-lane group.
+func TestFarmTraceRunTilesQueued(t *testing.T) {
+	f := New(Config{Workers: 1, MaxLanes: 2})
+	defer f.Close()
+	unblock := blockWorker(t, f)
+	defer unblock()
+
+	submit := func(seed uint64) *Job {
+		s := smallSpec()
+		s.Seed = seed
+		j, err := f.Submit(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	// The only worker is pinned, so the test hands serve exactly the
+	// groups it wants.
+	solo := submit(1)
+	f.serve([]*Job{solo})
+	a, b := submit(2), submit(3)
+	f.serve([]*Job{a, b})
+
+	for _, tc := range []struct {
+		j     *Job
+		lanes int
+	}{{solo, 0}, {a, 2}, {b, 2}} {
+		v := tc.j.View()
+		if v.Status != StatusDone || v.Stats.Lanes != tc.lanes {
+			t.Fatalf("%s: %s (%s), lanes %d, want done on %d lanes", v.ID, v.Status, v.Error, v.Stats.Lanes, tc.lanes)
+		}
+		tv, _ := tc.j.TraceView()
+		queued, firstRun, lastRun, done := -1, -1, -1, -1
+		for i, e := range tv.Events {
+			switch e.Name {
+			case "queued":
+				queued = i
+			case "run":
+				if firstRun < 0 {
+					firstRun = i
+				}
+				lastRun = i
+			case "done":
+				done = i
+			}
+		}
+		if queued < 0 || firstRun < 0 || done < 0 {
+			t.Fatalf("%s: trace lacks queued, run or done: %+v", v.ID, tv.Events)
+		}
+		q, r0, r, d := tv.Events[queued], tv.Events[firstRun], tv.Events[lastRun], tv.Events[done]
+		if !q.End().Equal(r0.Start) {
+			t.Errorf("%s: queued ends at %v, run starts at %v; want the same instant", v.ID, q.End(), r0.Start)
+		}
+		if d.Start.Before(r.Start) || d.Start.After(r.End()) {
+			t.Errorf("%s: done at %v outside the last run span [%v, %v]", v.ID, d.Start, r.Start, r.End())
+		}
 	}
 }

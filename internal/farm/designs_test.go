@@ -33,7 +33,7 @@ func firrtlSpec(src, variant, workload string, seed uint64, cycles int) JobSpec 
 
 // directRun is the reference every design-store test compares against: a
 // dedupsim-style run with no farm in the way — elaborate, compile, one
-// scalar engine. With upTo > 0 it also returns the encoded snapshot
+// one-lane engine. With upTo > 0 it also returns the encoded snapshot
 // taken after upTo cycles.
 func directRun(t *testing.T, spec JobSpec, upTo int) (SimStats, []byte) {
 	t.Helper()
@@ -49,17 +49,24 @@ func directRun(t *testing.T, spec JobSpec, upTo int) (SimStats, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := sim.New(cv.Program, cv.Activity)
-	drive := wl.WithSeed(spec.Seed).NewEngineDriveFrom(e, 0)
+	be, err := sim.NewBatch(cv.Program, cv.Activity, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive := wl.WithSeed(spec.Seed).NewLaneDrive(be, 0)
 	var snap []byte
 	for cyc := 0; cyc < spec.Cycles; cyc++ {
 		if upTo > 0 && cyc == upTo {
-			snap = e.Save().Encode()
+			s, serr := be.SaveLane(0)
+			if serr != nil {
+				t.Fatal(serr)
+			}
+			snap = s.Encode()
 		}
 		drive(cyc)
-		e.Step()
+		be.Step()
 	}
-	st := CollectStats(c, c.StructuralHash(), cv, e, 0, 0)
+	st := CollectLaneStats(c, c.StructuralHash(), cv, be, 0, 0, 0)
 	st.Workload = wl.Name
 	return st, snap
 }
@@ -115,7 +122,7 @@ func TestDesignKey(t *testing.T) {
 // TestDesignStoreBuildsOncePerDesign: jobs of one FIRRTL text — both
 // variants, both workloads, several seeds — submitted concurrently to a
 // multi-worker coalescing farm elaborate the design exactly once, and
-// every result equals the direct scalar run of its spec.
+// every result equals the direct run of its spec.
 func TestDesignStoreBuildsOncePerDesign(t *testing.T) {
 	src := testFIRRTL()
 	var specs []JobSpec
@@ -320,7 +327,7 @@ func TestDesignStorePanicDoesNotWedge(t *testing.T) {
 }
 
 // TestDesignStoreSharedCircuitRace: a VCD job (prober and waveform
-// writer walk the Circuit for the whole run), a scalar job and a
+// writer walk the Circuit for the whole run), a solo job and a
 // two-lane batch of one design run at the same time on the one shared
 // Circuit. The three attempts rendezvous before touching it, so the
 // overlap is by construction; the race detector is the assertion.
@@ -335,7 +342,7 @@ func TestDesignStoreSharedCircuitRace(t *testing.T) {
 	var taken, rendezvous sync.WaitGroup
 	taken.Add(3)
 	rendezvous.Add(3)
-	arrive := map[string]*sync.Once{"vcd": {}, "scalar": {}, "batch": {}}
+	arrive := map[string]*sync.Once{"vcd": {}, "solo": {}, "batch": {}}
 	gate := make(chan struct{})
 	f.injectFault = func(j *Job, _ int) error {
 		if j.Spec.Tenant == "gate" {
@@ -360,7 +367,7 @@ func TestDesignStoreSharedCircuitRace(t *testing.T) {
 		firrtlSpec(src, "Dedup", "B", 4, 600),
 	}
 	specs[0].VCD, specs[0].Tenant = true, "vcd"
-	specs[1].Tenant = "scalar"
+	specs[1].Tenant = "solo"
 	specs[2].Tenant, specs[3].Tenant = "batch", "batch"
 	gateSpec := smallSpec()
 	gateSpec.Tenant = "gate"

@@ -1,5 +1,6 @@
 // Package farm is a long-running simulation-farm service: a job queue and
-// bounded worker pool running many sim.Engine instances concurrently, in
+// bounded worker pool running many simulations concurrently as lanes of
+// sim.BatchEngine instances (one lane for a solo job; see run.go), in
 // front of a content-addressed compile cache. It applies the paper's
 // "don't repeat yourself" principle one level up: within one design, the
 // dedup flow shares one kernel per partition class; across the jobs of a
@@ -17,13 +18,11 @@
 package farm
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,9 +66,9 @@ type Config struct {
 
 	// CheckpointEvery, when positive, snapshots each running non-VCD
 	// simulation every N cycles; a retried job resumes from its last
-	// checkpoint instead of cycle 0 (0 = no checkpoints). Batch lanes
-	// checkpoint too, and a failed lane's scalar retry resumes from its
-	// lane snapshot.
+	// checkpoint instead of cycle 0 (0 = no checkpoints). Every lane of a
+	// coalesced group checkpoints too, and a failed lane's retry runs alone
+	// from its own lane snapshot.
 	CheckpointEvery int
 	// MaxRetries is how many times a transiently failed job is retried
 	// (default 1, i.e. the historical retry-once policy; negative
@@ -223,11 +222,11 @@ type Job struct {
 
 	// parked marks the current attempt as stopped by priority
 	// preemption: the attempt checkpoints at its next chunk boundary and
-	// the job goes back to the queue. inBatch marks a job running as a
-	// batch lane — exempt from parking (stopping one lane would not free
-	// the worker until the whole batch ends).
-	parked  bool
-	inBatch bool
+	// the job goes back to the queue. lanes is the size of the group the
+	// current attempt runs in; only a group of one can be parked
+	// (stopping one lane would not free the worker until the group ends).
+	parked bool
+	lanes  int
 
 	created time.Time
 	// enqueuedAt is the last time the job entered the pending queue:
@@ -556,8 +555,7 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 	}
 	// An imported checkpoint (fleet job migration) must decode before
 	// admission: a corrupt snapshot is the submitter's error, not a
-	// mid-run surprise. Resumable jobs never batch-coalesce (lanes start
-	// at cycle 0), which resumable() already enforces.
+	// mid-run surprise. A job holding a checkpoint runs alone (takeBatch).
 	var ckpt *sim.Snapshot
 	if len(spec.Checkpoint) > 0 {
 		if spec.VCD {
@@ -658,11 +656,12 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 }
 
 // maybeParkLocked parks (checkpoints + requeues) the lowest-priority
-// running scalar attempt when a job from tenantName outranks it and
-// every worker is busy. Caller holds f.mu. Requires checkpoints to be
-// on (otherwise parking would restart the victim from cycle 0), skips
-// batch lanes and VCD jobs, and is bounded by the victim tenant's
-// park-rate bucket so preemption can never livelock a tenant.
+// running attempt of a group of one when a job from tenantName outranks
+// it and every worker is busy. Caller holds f.mu. Requires checkpoints
+// to be on (otherwise parking would restart the victim from cycle 0),
+// skips lanes of larger groups and VCD jobs, and is bounded by the
+// victim tenant's park-rate bucket so preemption can never livelock a
+// tenant.
 func (f *Farm) maybeParkLocked(tenantName string) {
 	if f.cfg.CheckpointEvery <= 0 || f.running < f.cfg.Workers {
 		return
@@ -673,7 +672,7 @@ func (f *Farm) maybeParkLocked(tenantName string) {
 	victimPrio := 0
 	for _, j := range f.jobs {
 		j.mu.Lock()
-		running := j.status == StatusRunning && !j.inBatch && !j.Spec.VCD &&
+		running := j.status == StatusRunning && j.lanes == 1 && !j.Spec.VCD &&
 			j.attemptCancel != nil && !j.parked && !j.preempted
 		j.mu.Unlock()
 		if !running {
@@ -797,11 +796,7 @@ func (f *Farm) worker() {
 				if len(batch) == 0 {
 					break
 				}
-				if len(batch) == 1 {
-					f.runJob(batch[0])
-				} else {
-					f.runBatch(batch)
-				}
+				f.serve(batch)
 				if f.ctx.Err() != nil {
 					return
 				}
@@ -866,9 +861,9 @@ func jobBatchKey(s JobSpec) batchKey {
 }
 
 // resumable reports whether a still-queued job already holds a resume
-// checkpoint — only recovery re-admission produces that state. Such
-// jobs never coalesce: batch lanes always start at cycle 0, which would
-// silently discard the recovered progress.
+// checkpoint — a parked, recovered or migrated-in job. Such jobs run
+// alone: the lanes of a group step in lockstep from cycle 0, so only a
+// group of one resumes.
 func resumable(j *Job) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -883,10 +878,11 @@ func resumable(j *Job) bool {
 // lanes. The picked tenant's virtual clock is charged the claimed cycle
 // budget at dequeue — stride-style — so concurrent workers spread
 // across tenants instead of all draining the minimum-vtime tenant.
-// Claimed jobs are removed from pending while still StatusQueued; the
-// runner re-checks each under its own lock (a racing Cancel may turn
-// one terminal first). VCD jobs never coalesce: waveform capture is
-// built around the scalar engine's prober.
+// Claimed jobs are removed from pending while still StatusQueued; serve
+// re-checks each under its own lock (a racing Cancel may turn one
+// terminal first). Who runs alone is decided here and only here: every
+// job when MaxLanes ≤ 1, VCD jobs (a waveform samples every cycle of one
+// lane), and jobs holding a resume checkpoint.
 func (f *Farm) takeBatch() []*Job {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -956,73 +952,6 @@ func (f *Farm) jobTimeout(s JobSpec) time.Duration {
 		return time.Duration(s.TimeoutMs) * time.Millisecond
 	}
 	return f.cfg.DefaultTimeout
-}
-
-// runJob drives one job through the retry policy on a dedicated scalar
-// engine.
-func (f *Farm) runJob(j *Job) {
-	ctx, cancel := context.WithCancel(f.ctx)
-	timeout := f.jobTimeout(j.Spec)
-	ctx, cancelT := context.WithTimeout(ctx, timeout)
-	defer cancelT()
-
-	j.mu.Lock()
-	if j.status != StatusQueued {
-		// Canceled while queued.
-		j.mu.Unlock()
-		cancel()
-		return
-	}
-	j.status = StatusRunning
-	now := time.Now()
-	j.started = now
-	j.progressAt = now
-	j.cancel = cancel
-	enq := j.enqueuedAt
-	j.mu.Unlock()
-	j.trace.Span("queued", enq, now.Sub(enq))
-	f.obs.queueWaitObs(now.Sub(enq))
-	f.cfg.Tenants.ObserveQueueWait(j.Spec.Tenant, now.Sub(enq))
-	f.journalStart(j)
-
-	f.mu.Lock()
-	f.running++
-	f.mu.Unlock()
-	defer func() {
-		f.mu.Lock()
-		f.running--
-		f.mu.Unlock()
-	}()
-
-	err := f.runRetryLoop(ctx, j, 0, nil)
-	f.settleRun(j, err, timeout)
-}
-
-// runRetryLoop runs attempts of one job under the retry policy:
-// transient failures retry up to MaxRetries times with exponential
-// backoff + jitter, each retry resuming from the job's last checkpoint
-// when one exists. start is the zero-based attempt index to begin at
-// (the batch fallback paths enter at 1, continuing the lane's attempt
-// count) and lastErr is the failure that brought us here (for the
-// retries-by-cause metric).
-func (f *Farm) runRetryLoop(ctx context.Context, j *Job, start int, lastErr error) error {
-	err := lastErr
-	for attempt := start; attempt <= f.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			f.recordRetry(j, transientCause(err))
-			if werr := f.backoff(ctx, j, attempt); werr != nil {
-				return werr
-			}
-		}
-		j.mu.Lock()
-		j.attempts = attempt + 1
-		j.mu.Unlock()
-		err = f.runAttempt(ctx, j, attempt)
-		if err == nil || !IsTransient(err) || ctx.Err() != nil {
-			break
-		}
-	}
-	return err
 }
 
 // recordRetry bumps the retry counters and marks the retry (with its
@@ -1133,209 +1062,6 @@ func (f *Farm) compileSpec(ctx context.Context, j *Job) (out compiled, err error
 		}
 	}
 	return out, nil
-}
-
-// runAttempt elaborates, compiles (through the cache), and simulates,
-// resuming from the job's last checkpoint when retrying.
-func (f *Farm) runAttempt(ctx context.Context, j *Job, attempt int) (err error) {
-	// Per-attempt context: the watchdog preempts a stuck attempt by
-	// canceling actx while the job-level ctx stays live, so the retry
-	// loop can run another attempt from the last checkpoint.
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel()
-	attemptStart := time.Now()
-	j.mu.Lock()
-	j.preempted = false
-	j.parked = false
-	j.inBatch = false
-	j.attemptCancel = acancel
-	j.progressAt = attemptStart
-	j.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			// A panic in elaboration or simulation is treated as
-			// transient: the retry isolates one-off corruption, and a
-			// deterministic panic exhausts the retry budget and fails the
-			// job.
-			err = TransientCause("panic", fmt.Errorf("panic: %v", r))
-		}
-		j.mu.Lock()
-		j.attemptCancel = nil
-		preempted := j.preempted
-		parked := j.parked
-		j.mu.Unlock()
-		// Map a priority park (attempt context canceled by maybePark, job
-		// context live) to the non-transient park sentinel — the retry
-		// loop exits and settleRun requeues the job — and a watchdog
-		// preemption to a retryable fault.
-		switch {
-		case err != nil && parked && ctx.Err() == nil && errors.Is(err, context.Canceled):
-			err = errParked
-		case err != nil && preempted && ctx.Err() == nil && errors.Is(err, context.Canceled):
-			err = TransientCause("preempted",
-				fmt.Errorf("preempted by watchdog: no progress for %s", f.cfg.StuckTimeout))
-		}
-		// The run span covers the whole attempt — compile included, and
-		// failed attempts too — so a job's spans account for its wall time
-		// even under chaos.
-		j.trace.Span("run", attemptStart, time.Since(attemptStart),
-			"attempt", strconv.Itoa(attempt+1), "outcome", traceOutcome(err))
-	}()
-	if f.injectFault != nil {
-		if ferr := f.injectFault(j, attempt); ferr != nil {
-			return ferr
-		}
-	}
-
-	compileStart := time.Now()
-	cd, err := f.compileSpec(actx, j)
-	j.trace.Span("compile", compileStart, time.Since(compileStart),
-		"hit", strconv.FormatBool(cd.hit), "design_hit", strconv.FormatBool(cd.designHit))
-	c, cv := cd.c, cd.cv
-	if c != nil {
-		j.mu.Lock()
-		j.hash, j.hashed = cd.hash, true
-		j.mu.Unlock()
-	}
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.cacheHit = cd.hit
-	j.mu.Unlock()
-
-	wl, err := workloadByName(j.Spec.Workload)
-	if err != nil {
-		return err
-	}
-
-	// The Program is shared read-only across workers; each job gets its
-	// own Engine (private state/temps/dirty vectors). The drive resolves
-	// input handles once, so the cycle loop does no string hashing.
-	e := sim.New(cv.Program, cv.Activity)
-	faults := f.cfg.Faults
-	if faults.Armed(faultinject.StepStall) {
-		e.OnStep = func(int64) {
-			if faults.Fire(faultinject.StepStall) {
-				faults.Sleep(actx)
-			}
-		}
-	}
-
-	// Resume from the last checkpoint when one exists. VCD jobs always
-	// restart from cycle 0: the waveform must cover the whole run. A
-	// shape-mismatched snapshot (can't happen while the compile is
-	// deterministic) is discarded rather than trusted.
-	resume := 0
-	if !j.Spec.VCD {
-		j.mu.Lock()
-		ckpt := j.checkpoint
-		j.mu.Unlock()
-		if ckpt != nil && e.Restore(ckpt) == nil {
-			resume = int(ckpt.Cycles)
-		}
-	}
-	j.mu.Lock()
-	j.resumedFrom = int64(resume)
-	j.mu.Unlock()
-	if resume > 0 {
-		f.mu.Lock()
-		f.cyclesSaved += int64(resume)
-		f.mu.Unlock()
-		j.trace.Instant("resume", "cycle", strconv.Itoa(resume))
-	}
-	drive := wl.WithSeed(j.Spec.Seed).NewEngineDriveFrom(e, resume)
-
-	var vcdBuf bytes.Buffer
-	var vcd *sim.VCDWriter
-	var prober *sim.EngineProber
-	if j.Spec.VCD {
-		prober = sim.NewEngineProber(e, c)
-		var probes []string
-		for _, n := range sim.ProbeNames(c) {
-			if _, _, ok := prober.Probe(n); ok {
-				probes = append(probes, n)
-			}
-		}
-		vcd, err = sim.NewVCDWriter(&vcdBuf, c, probes)
-		if err != nil {
-			return fmt.Errorf("vcd: %w", err)
-		}
-	}
-
-	// Simulate in chunks so cancellation, timeouts, and the progress
-	// heartbeat run between chunks without a per-cycle context check on
-	// the hot path.
-	const chunk = 256
-	ckptEvery := f.cfg.CheckpointEvery
-	start := time.Now()
-	for cyc := resume; cyc < j.Spec.Cycles; cyc++ {
-		if cyc%chunk == 0 {
-			if ctxErr := actx.Err(); ctxErr != nil {
-				// A parked attempt snapshots at the boundary where it
-				// noticed the cancel, so the requeued job loses at most
-				// chunk (≤ CheckpointEvery) cycles, not a full checkpoint
-				// interval.
-				j.mu.Lock()
-				parked := j.parked
-				j.mu.Unlock()
-				if parked && vcd == nil && cyc > resume {
-					f.recordCheckpoint(j, e.Save())
-				}
-				return ctxErr
-			}
-			j.noteProgress(cyc)
-			// Crash faults skip the attempt's first boundary so a resumed
-			// attempt always gets past its checkpoint before it can crash
-			// again — injected chaos must not be able to livelock a job.
-			if cyc != resume && faults.Fire(faultinject.WorkerCrash) {
-				panic("faultinject: worker crash")
-			}
-		}
-		drive(cyc)
-		e.Step()
-		if vcd != nil {
-			if err := vcd.Sample(prober, cyc); err != nil {
-				return fmt.Errorf("vcd write: %w", err)
-			}
-		}
-		if ckptEvery > 0 && vcd == nil && (cyc+1)%ckptEvery == 0 && cyc+1 < j.Spec.Cycles {
-			f.recordCheckpoint(j, e.Save())
-		}
-	}
-	wall := time.Since(start)
-	if vcd != nil {
-		if err := vcd.Close(); err != nil {
-			return fmt.Errorf("vcd write: %w", err)
-		}
-	}
-
-	stats := CollectStats(c, cd.hash, cv, e, cd.compileTime, wall)
-	stats.Workload = wl.Name
-	j.mu.Lock()
-	j.stats = &stats
-	if j.Spec.VCD {
-		j.vcd = vcdBuf.Bytes()
-	}
-	j.mu.Unlock()
-	f.mu.Lock()
-	f.simCycles += e.Cycles - int64(resume) // only cycles executed this attempt
-	f.simWall += wall
-	f.mu.Unlock()
-	f.cfg.Tenants.ChargeCycles(j.Spec.Tenant, e.Cycles-int64(resume))
-	f.obs.simRunObs(wall)
-	return nil
-}
-
-// settleRun routes a retry-loop result: a parked job goes back to the
-// queue with its checkpoint (priority preemption is a detour, not an
-// ending); everything else reaches a terminal status via finishRun.
-func (f *Farm) settleRun(j *Job, err error, timeout time.Duration) {
-	if errors.Is(err, errParked) {
-		f.requeueParked(j)
-		return
-	}
-	f.finishRun(j, err, timeout)
 }
 
 // requeueParked returns a parked job to the pending queue: status back

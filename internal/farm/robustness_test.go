@@ -150,7 +150,7 @@ func TestFarmWatchdogPreempt(t *testing.T) {
 }
 
 // TestFarmBatchLaneCheckpointFallback: when a worker crash kills a whole
-// batch, each lane falls back to a scalar retry that resumes from its
+// batch, each lane re-runs alone, as a group of one, resuming from its
 // per-lane checkpoint — not cycle 0 — and still matches a fault-free run
 // bit-exactly.
 func TestFarmBatchLaneCheckpointFallback(t *testing.T) {
@@ -181,20 +181,20 @@ func TestFarmBatchLaneCheckpointFallback(t *testing.T) {
 			t.Fatalf("job %d: %s (%s)", i, v.Status, v.Error)
 		}
 		if v.Attempts != 2 {
-			t.Errorf("job %d: Attempts = %d, want 2 (batch crash + scalar retry)", i, v.Attempts)
+			t.Errorf("job %d: Attempts = %d, want 2 (batch crash + solo re-run)", i, v.Attempts)
 		}
 		if v.ResumedCycles != 256 {
 			t.Errorf("job %d: ResumedCycles = %d, want 256 (lane checkpoint)", i, v.ResumedCycles)
 		}
 		if v.Stats != nil && v.Stats.Lanes != 0 {
-			t.Errorf("job %d: Lanes = %d, want 0 (scalar fallback)", i, v.Stats.Lanes)
+			t.Errorf("job %d: Lanes = %d, want 0 (re-run as a group of one)", i, v.Stats.Lanes)
 		}
 		ref := want
 		ref.Spec.Seed = v.Spec.Seed
 		// Seeds differ from the reference run, so only structural counters
 		// can't be compared; rerun the reference per seed instead.
 		refV := runReference(t, v.Spec)
-		simResultsEqual(t, fmt.Sprintf("fallback job %d", i), refV.Stats, v.Stats)
+		simResultsEqual(t, fmt.Sprintf("re-run job %d", i), refV.Stats, v.Stats)
 	}
 	for _, id := range fillerIDs {
 		if v := waitDone(t, f, id); v.Status != StatusDone {

@@ -29,8 +29,9 @@ type SimStats struct {
 	CompileMs float64 `json:"compile_ms"`
 
 	Workload string `json:"workload,omitempty"`
-	// Lanes is the batch width this run shared an engine with (farm
-	// coalescing); 0 means a dedicated scalar engine.
+	// Lanes is the lane count of the engine this run stepped in lockstep
+	// with other runs (farm coalescing, `dedupsim -lanes`); 0 means the
+	// run had its engine to itself — a scalar engine or a one-lane batch.
 	Lanes        int     `json:"lanes,omitempty"`
 	Cycles       int64   `json:"cycles"`
 	WallMs       float64 `json:"wall_ms"`
@@ -44,61 +45,40 @@ type SimStats struct {
 	Outputs map[string]string `json:"outputs"`
 }
 
-// CollectStats assembles a SimStats from a finished run. hash is the
-// circuit's structural hash, computed once by whoever elaborated it (the
-// farm's design store, or dedupsim itself) rather than once per record.
-func CollectStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, e *sim.Engine, compile, wall time.Duration) SimStats {
-	st := designStats(c, hash, cv, compile, wall)
-	st.Cycles = e.Cycles
-	st.ActsExecuted = e.ActsExecuted
-	st.ActsSkipped = e.ActsSkipped
-	st.DynInstrs = e.DynInstrs
-	st.finish(c, wall, e.Output)
-	return st
+// Counters are the engine counters a SimStats reports for one
+// simulation: a scalar engine's, or one lane's entries of a batch
+// engine's.
+type Counters struct {
+	Cycles, ActsExecuted, ActsSkipped, DynInstrs int64
 }
 
-// CollectLaneStats assembles a SimStats for one lane of a batch run. The
-// counters are the lane's own (bit-exact with a dedicated scalar engine);
-// wall is the batch's elapsed time up to this lane's exit, so SimHz is
-// the lane's share of the lockstep run, and the per-job numbers sum to
-// the batch aggregate.
-func CollectLaneStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, be *sim.BatchEngine, lane int, compile, wall time.Duration) SimStats {
-	st := designStats(c, hash, cv, compile, wall)
-	st.Lanes = be.Lanes()
-	st.Cycles = be.Cycles[lane]
-	st.ActsExecuted = be.ActsExecuted[lane]
-	st.ActsSkipped = be.ActsSkipped[lane]
-	st.DynInstrs = be.DynInstrs[lane]
-	st.finish(c, wall, func(name string) (uint64, error) { return be.Output(lane, name) })
-	return st
-}
-
-// designStats fills the fields that depend only on the design, its
-// Program and the clock — everything but the engine's counters.
-func designStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, compile, wall time.Duration) SimStats {
+// CollectStats assembles a SimStats from a finished run: n holds its
+// counters and output reads its final outputs. hash is the circuit's
+// structural hash, computed once by whoever elaborated it (the farm's
+// design store, or dedupsim itself) rather than once per record.
+func CollectStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, n Counters,
+	output func(string) (uint64, error), compile, wall time.Duration) SimStats {
 	prog := cv.Program
 	st := SimStats{
-		Design:      c.Name,
-		Nodes:       c.NumNodes(),
-		CircuitHash: hash.String(),
-		Variant:     string(cv.Variant),
-		Partitions:  prog.NumParts,
-		Kernels:     len(prog.Kernels),
-		CodeBytes:   prog.UniqueCodeBytes,
-		TableBytes:  prog.TableBytes,
-		CompileMs:   float64(compile) / float64(time.Millisecond),
-		WallMs:      float64(wall) / float64(time.Millisecond),
-		Outputs:     map[string]string{},
+		Design:       c.Name,
+		Nodes:        c.NumNodes(),
+		CircuitHash:  hash.String(),
+		Variant:      string(cv.Variant),
+		Partitions:   prog.NumParts,
+		Kernels:      len(prog.Kernels),
+		CodeBytes:    prog.UniqueCodeBytes,
+		TableBytes:   prog.TableBytes,
+		CompileMs:    float64(compile) / float64(time.Millisecond),
+		Cycles:       n.Cycles,
+		WallMs:       float64(wall) / float64(time.Millisecond),
+		ActsExecuted: n.ActsExecuted,
+		ActsSkipped:  n.ActsSkipped,
+		DynInstrs:    n.DynInstrs,
+		Outputs:      map[string]string{},
 	}
 	if cv.Dedup != nil {
 		st.SharedClasses = cv.Dedup.NumClasses
 	}
-	return st
-}
-
-// finish derives the rates from the counters already set and reads the
-// final outputs through the engine's (or lane's) accessor.
-func (st *SimStats) finish(c *circuit.Circuit, wall time.Duration, output func(string) (uint64, error)) {
 	if wall > 0 {
 		st.SimHz = float64(st.Cycles) / wall.Seconds()
 	}
@@ -111,4 +91,19 @@ func (st *SimStats) finish(c *circuit.Circuit, wall time.Duration, output func(s
 			st.Outputs[name] = fmt.Sprintf("%#x", v)
 		}
 	}
+	return st
+}
+
+// CollectLaneStats assembles a SimStats for one lane of a batch run. The
+// counters are the lane's own (bit-exact with a dedicated scalar engine);
+// wall is the batch's elapsed time up to this lane's exit, so SimHz is
+// the lane's share of the lockstep run. Lanes follows the SimStats rule:
+// the engine's lane count when it ran two or more, 0 for one lane.
+func CollectLaneStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, be *sim.BatchEngine, lane int, compile, wall time.Duration) SimStats {
+	n := Counters{be.Cycles[lane], be.ActsExecuted[lane], be.ActsSkipped[lane], be.DynInstrs[lane]}
+	st := CollectStats(c, hash, cv, n, func(name string) (uint64, error) { return be.Output(lane, name) }, compile, wall)
+	if be.Lanes() > 1 {
+		st.Lanes = be.Lanes()
+	}
+	return st
 }

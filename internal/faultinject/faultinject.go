@@ -47,7 +47,8 @@ const (
 	// from the last checkpoint, not cycle 0).
 	WorkerCrash Point = "worker.crash"
 	// BatchTransient fails a coalesced batch attempt with a transient
-	// error, exercising the per-lane scalar fallback path.
+	// error, exercising the per-lane re-run path (each lane retried
+	// alone from its own checkpoint).
 	BatchTransient Point = "batch.transient"
 	// QueuePressure rejects a Submit as if the queue were full,
 	// exercising load shedding (HTTP 429 + Retry-After) and client

@@ -12,8 +12,7 @@ import "fmt"
 // A Snapshot is engine-shape-agnostic within one Program: Engine.Save /
 // BatchEngine.SaveLane produce the same layout, and either can be
 // restored into a scalar Engine or a batch lane executing the same
-// Program. That is what lets a failed batch lane fall back to a scalar
-// resume.
+// Program. That is what lets a failed batch lane resume on its own.
 type Snapshot struct {
 	State  []uint64
 	Mems   [][]uint64
@@ -102,8 +101,8 @@ func checkShape(s *Snapshot, words int, mems [][]uint64) error {
 
 // SaveLane captures one batch lane's architectural state, activity
 // flags, and counters in the same layout Engine.Save produces, so the
-// snapshot can be resumed on a scalar Engine (the farm's fallback path
-// for failed batch lanes) or restored into a batch lane.
+// snapshot can be resumed on a scalar Engine or restored into a batch
+// lane (the farm re-runs a failed lane alone, from this snapshot).
 func (e *BatchEngine) SaveLane(lane int) (*Snapshot, error) {
 	if lane < 0 || lane >= e.lanes {
 		return nil, fmt.Errorf("sim: lane %d out of [0, %d)", lane, e.lanes)

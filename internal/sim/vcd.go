@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"dedupsim/internal/circuit"
+	"dedupsim/internal/codegen"
 	"dedupsim/internal/graph"
 )
 
@@ -33,7 +34,8 @@ type VCDWriter struct {
 }
 
 // Prober reads a named signal's current value; *Ref implements it
-// directly, and Engine exposes slot-backed probes via EngineProber.
+// directly, and compiled engines expose slot-backed probes via
+// EngineProber.
 type Prober interface {
 	Probe(name string) (uint64, uint8, bool)
 }
@@ -54,21 +56,24 @@ func (r *Ref) Probe(name string) (uint64, uint8, bool) {
 	return 0, 0, false
 }
 
-// EngineProber adapts an Engine to the Prober interface. Only signals
-// that received state slots (I/O, registers, cross-partition values) are
-// probeable — the same restriction a real compiled simulator has unless
-// it is built with full tracing.
+// EngineProber adapts a compiled engine to the Prober interface, reading
+// state through a slot accessor: Engine.Slot, or one lane of a
+// BatchEngine (func(s int32) uint64 { return be.Slot(lane, s) }). Only
+// signals that received state slots (I/O, registers, cross-partition
+// values) are probeable — the same restriction a real compiled simulator
+// has unless it is built with full tracing.
 type EngineProber struct {
-	e     *Engine
+	slot  func(int32) uint64
 	slots map[string]struct {
 		slot  int32
 		width uint8
 	}
 }
 
-// NewEngineProber indexes the probeable signals of an engine.
-func NewEngineProber(e *Engine, c *circuit.Circuit) *EngineProber {
-	p := &EngineProber{e: e, slots: map[string]struct {
+// NewEngineProber indexes the probeable signals of an engine running p
+// whose state slot reads through slot.
+func NewEngineProber(p *codegen.Program, slot func(int32) uint64, c *circuit.Circuit) *EngineProber {
+	ep := &EngineProber{slot: slot, slots: map[string]struct {
 		slot  int32
 		width uint8
 	}{}}
@@ -77,14 +82,14 @@ func NewEngineProber(e *Engine, c *circuit.Circuit) *EngineProber {
 		if name == "" {
 			continue
 		}
-		if s := e.p.SlotOfNode[v]; s >= 0 {
-			p.slots[name] = struct {
+		if s := p.SlotOfNode[v]; s >= 0 {
+			ep.slots[name] = struct {
 				slot  int32
 				width uint8
 			}{s, c.Width[v]}
 		}
 	}
-	return p
+	return ep
 }
 
 // Probe implements Prober.
@@ -93,7 +98,7 @@ func (p *EngineProber) Probe(name string) (uint64, uint8, bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	return p.e.Slot(s.slot), s.width, true
+	return p.slot(s.slot), s.width, true
 }
 
 // NewVCDWriter starts a VCD dump of the named signals. Signal widths are

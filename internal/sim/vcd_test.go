@@ -79,8 +79,30 @@ func TestVCDFromEngineMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := sim.New(cv.Program, true)
-	prober := sim.NewEngineProber(e, c)
+	prober := sim.NewEngineProber(cv.Program, e.Slot, c)
 	ref, _ := sim.NewRef(c)
+	// A one-lane BatchEngine probed through the same prober type must dump
+	// the same waveform, byte for byte, as the scalar engine.
+	be, err := sim.NewBatch(cv.Program, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laneProber := sim.NewEngineProber(cv.Program, func(s int32) uint64 { return be.Slot(0, s) }, c)
+	var probes []string
+	for _, n := range sim.ProbeNames(c) {
+		if _, _, ok := prober.Probe(n); ok {
+			probes = append(probes, n)
+		}
+	}
+	var scalarVCD, laneVCD strings.Builder
+	scalarW, err := sim.NewVCDWriter(&scalarVCD, c, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laneW, err := sim.NewVCDWriter(&laneVCD, c, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Registers always have slots, so they are probeable on the engine.
 	probe := "lfsr"
@@ -101,8 +123,17 @@ func TestVCDFromEngineMatchesReference(t *testing.T) {
 			d.SetInput("stim", uint64(cyc*17))
 			d.SetInput("stim_valid", uint64(cyc%2))
 		}
+		be.SetInput(0, "stim", uint64(cyc*17))
+		be.SetInput(0, "stim_valid", uint64(cyc%2))
 		e.Step()
+		be.Step()
 		ref.Step()
+		if err := scalarW.Sample(prober, cyc); err != nil {
+			t.Fatal(err)
+		}
+		if err := laneW.Sample(laneProber, cyc); err != nil {
+			t.Fatal(err)
+		}
 		ev, ew, ok := prober.Probe(found)
 		if !ok {
 			t.Fatalf("engine cannot probe %q", found)
@@ -114,6 +145,16 @@ func TestVCDFromEngineMatchesReference(t *testing.T) {
 		if ev != rv {
 			t.Fatalf("cycle %d: probe %q engine=%#x ref=%#x", cyc, found, ev, rv)
 		}
+	}
+	if err := scalarW.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := laneW.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(probes) == 0 || laneVCD.String() != scalarVCD.String() {
+		t.Errorf("one-lane batch VCD (%d bytes) != scalar engine VCD (%d bytes) over %d probes",
+			laneVCD.Len(), scalarVCD.Len(), len(probes))
 	}
 }
 

@@ -224,30 +224,15 @@ func benchDispatchScalar(b *testing.B, opt codegen.Options) {
 
 // BenchmarkDispatch isolates the interpreter dispatch layer: the same
 // deduplicated design run through the unified jump-table core with
-// superinstruction fusion + 1-bit packing on (the default) vs off, on
-// the scalar engine and on a one-lane batch engine (which must match
-// scalar — the unified-engine invariant). Fused/Unfused is the per-cycle
-// win of the shorter fused instruction stream; BatchL1/Fused is the cost
-// of the L=1 batch path, expected ~1.0x.
+// superinstruction fusion + 1-bit packing on (the default) vs off.
+// Fused/Unfused is the per-cycle win of the shorter fused instruction
+// stream.
 func BenchmarkDispatch(b *testing.B) {
 	b.Run("Fused", func(b *testing.B) {
 		benchDispatchScalar(b, codegen.Options{})
 	})
 	b.Run("Unfused", func(b *testing.B) {
 		benchDispatchScalar(b, codegen.Options{DisableFusion: true, DisablePacking: true})
-	})
-	b.Run("BatchL1", func(b *testing.B) {
-		p := compileForFusionBench(b, codegen.Options{})
-		be, err := sim.NewBatch(p, true, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		drive := stimulus.VVAddB().Lane(0).NewLaneDrive(be, 0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			drive(i)
-			be.Step()
-		}
 	})
 }
 

@@ -287,10 +287,10 @@ func TestFarmCoalesceChurn(t *testing.T) {
 	}
 }
 
-// TestFarmBatchSingleLaneStaysOnBatchEngine is the unified-engine
-// regression guard: a group of one — a solo job, or a coalesced group
-// whose other members were canceled between claim and start — runs on a
-// one-lane BatchEngine, whose Step dispatches to the scalar code path.
+// TestFarmBatchSingleLaneStaysOnBatchEngine is the one-engine regression
+// guard: a group of one — a solo job, or a coalesced group whose other
+// members were canceled between claim and start — runs on a one-lane
+// BatchEngine, the engine sim.Engine wraps.
 // The job must report Lanes=0 (it had the engine to itself) and finish
 // bit-exact with the reference run, counters included.
 func TestFarmBatchSingleLaneStaysOnBatchEngine(t *testing.T) {

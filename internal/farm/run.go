@@ -15,9 +15,8 @@ import (
 // The run path. Every attempt of every job — a coalesced group's run, a
 // solo job, a retry, a parked job's resume, a recovered or migrated-in
 // job — is one runGroup over 1..MaxLanes jobs stepping as lanes of one
-// sim.BatchEngine. At one lane the batch engine runs the scalar engine's
-// own dispatch core (the unified-engine invariant, DESIGN.md), so a solo
-// job pays nothing for sharing the path. Who runs alone is a scheduling
+// sim.BatchEngine. A one-lane batch engine is what sim.Engine is (DESIGN.md,
+// "One engine"), so a solo job pays nothing for sharing the path. Who runs alone is a scheduling
 // rule in takeBatch, not a code path here, and a lane whose attempt fails
 // retryably runs again alone, as a group of one, resuming from its own
 // lane checkpoint.

@@ -39,8 +39,7 @@ const (
 	// watchdog preemption of jobs stuck before their first cycle and
 	// context-aware cache waiters.
 	CompileStall Point = "compile.stall"
-	// StepStall sleeps inside Engine/BatchEngine Step via the OnStep
-	// hook, exercising stuck-simulation preemption mid-run.
+	// StepStall sleeps inside BatchEngine.Step via the OnStep hook, exercising stuck-simulation preemption mid-run.
 	StepStall Point = "step.stall"
 	// WorkerCrash panics at a cycle-chunk boundary of a running
 	// simulation, exercising checkpoint-resume (the retry should restart

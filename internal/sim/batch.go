@@ -41,12 +41,18 @@ type BatchEngine struct {
 	lanes    int
 	// marking mirrors activity: when false the dirty masks are never read
 	// for skipping, so stores skip change detection entirely (and suppress
-	// consumer marking, keeping Dirty snapshots bit-exact with a scalar
-	// engine doing the same).
+	// consumer marking, keeping Dirty snapshots bit-exact across lane
+	// counts).
 	marking bool
 	// markL1 is the consumer hook for the single-lane fast path, bound at
 	// construction; nil when activity skipping is off.
 	markL1 func(int32)
+	// onAct and onMem are Engine's OnActivation/OnMemAccess hooks, read
+	// only by the one-lane path. memFwd forwards memory reads to onMem;
+	// bound once so the instrumented path allocates nothing per activation.
+	onAct  func(actIdx int32)
+	onMem  func(mem int32, addr uint64, write bool)
+	memFwd func(mem int32, addr uint64)
 
 	state []uint64   // [slot*lanes + lane]
 	mems  [][]uint64 // per memory: [addr*lanes + lane]
@@ -87,7 +93,8 @@ type BatchEngine struct {
 	// Valid only while marking (activity on); otherwise stores don't
 	// change-detect and the commit scans every register. Reset and
 	// RestoreLane re-arm every pending mask, since restored state
-	// carries no store history.
+	// carries no store history. A one-lane engine builds none of them:
+	// stepL1 scans every register.
 	regOfSlot  []int32
 	regPending []uint64
 	regForce   []uint64
@@ -104,8 +111,8 @@ type BatchEngine struct {
 
 	outputs map[string]codegen.PortSpec
 
-	// Per-lane counters, same semantics as the scalar Engine's: a lane's
-	// entry advances exactly as it would in a standalone Engine run.
+	// Per-lane counters: a lane's entry advances exactly as it would in a
+	// standalone one-lane run.
 	Cycles       []int64
 	ActsExecuted []int64
 	ActsSkipped  []int64
@@ -149,12 +156,15 @@ func NewBatch(p *codegen.Program, activity bool, lanes int) (*BatchEngine, error
 	if activity {
 		e.markL1 = func(slot int32) { e.markConsumers(slot, 1) }
 	}
+	e.memFwd = func(mem int32, addr uint64) { e.onMem(mem, addr, false) }
 	e.allLanes = make([]int32, lanes)
 	for l := range e.allLanes {
 		e.allLanes[l] = int32(l)
 	}
 	e.laneBuf = make([]int32, lanes)
-	e.buildRegWatch()
+	if lanes > 1 {
+		e.buildRegWatch()
+	}
 	e.mems = make([][]uint64, len(p.Mems))
 	for i, m := range p.Mems {
 		e.mems[i] = make([]uint64, m.Depth*lanes)
@@ -328,6 +338,9 @@ func (e *BatchEngine) markConsumers(slot int32, changedMask uint64) {
 	for _, pt := range p.SlotConsEdge[p.SlotConsOff[slot]:p.SlotConsOff[slot+1]] {
 		e.dirty[pt] |= changedMask
 	}
+	if e.regOfSlot == nil { // one lane: no register-watch tables
+		return
+	}
 	if ri := e.regOfSlot[slot]; ri >= 0 {
 		e.regPending[ri] |= changedMask
 	}
@@ -340,11 +353,10 @@ func (e *BatchEngine) Step() {
 	if e.OnStep != nil {
 		e.OnStep()
 	}
-	// Unified-engine invariant: at L=1 the strided layout degenerates to
-	// the scalar layout (stride 1, lane 0), so a single-lane batch runs
-	// the EXACT scalar code path — same dispatch core, same skip logic,
-	// same commit loops. Batching is never a regression by construction,
-	// which is what let the farm drop its single-live-lane special case.
+	// At L=1 the strided layout degenerates to the scalar layout (stride
+	// 1, lane 0), so a one-lane batch runs the scalar cycle loop. Engine
+	// is a one-lane batch, so scalar and batched runs share this code by
+	// construction.
 	if e.lanes == 1 {
 		if e.active&1 != 0 {
 			e.stepL1()
@@ -504,15 +516,20 @@ func (e *BatchEngine) Step() {
 	}
 }
 
-// stepL1 is Step for a one-lane batch: the scalar Engine's cycle loop
-// verbatim (state/temps collapse to the scalar layout at L=1), executed
-// through the same shared dispatch core, with the lane-0 bit of the dirty
-// masks standing in for the scalar engine's dirty booleans. Counters use
-// scalar-style accounting rather than the assume-skipped-then-reverse
-// trick, so a deactivating lane can never observe a transient.
+// stepL1 is Step for a one-lane batch, and so the scalar engine: state
+// and temps are in the scalar layout at L=1, kernels run through the
+// shared dispatch core, and the lane-0 bit of each dirty mask is the
+// partition's dirty flag. Counters advance per activation rather than by
+// the assume-skipped-then-reverse trick, so a deactivating lane can never
+// observe a transient. The Engine hooks cost one nil check per executed
+// activation and one per write-port commit.
 func (e *BatchEngine) stepL1() {
 	p := e.p
 	st := e.state
+	onMem := e.memFwd
+	if e.onMem == nil {
+		onMem = nil
+	}
 	for i := range p.Activations {
 		act := &p.Activations[i]
 		if e.activity && e.dirty[act.Part]&1 == 0 {
@@ -521,9 +538,12 @@ func (e *BatchEngine) stepL1() {
 		}
 		e.dirty[act.Part] &^= 1
 		k := p.Kernels[act.Kernel]
-		execKernel(p, k, act, st, e.temps, e.mems, e.markL1, nil)
+		execKernel(p, k, act, st, e.temps, e.mems, e.markL1, onMem)
 		e.ActsExecuted[0]++
 		e.DynInstrs[0] += int64(k.DynInstrs)
+		if e.onAct != nil {
+			e.onAct(int32(i))
+		}
 	}
 	for i := range p.Regs {
 		r := &p.Regs[i]
@@ -544,6 +564,9 @@ func (e *BatchEngine) stepL1() {
 		m := e.mems[wp.Mem]
 		addr := st[wp.Addr] % uint64(len(m))
 		data := st[wp.Data] & wp.Mask
+		if e.onMem != nil {
+			e.onMem(wp.Mem, addr, true)
+		}
 		if m[addr] != data {
 			m[addr] = data
 			for _, pt := range p.MemConsEdge[p.MemConsOff[wp.Mem]:p.MemConsOff[wp.Mem+1]] {

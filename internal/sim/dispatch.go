@@ -7,12 +7,13 @@ import (
 
 // execKernel is the unified scalar-layout interpreter core: one dense
 // switch over the full (base + fused + packed-bit) opcode set, shared by
-// the scalar Engine, the ParallelEngine's workers, and the BatchEngine at
-// L=1 (whose state layout at one lane is exactly the scalar layout). The
-// switch is dense over a uint8 opcode enumeration, which the Go compiler
-// lowers to a jump table — the "threaded dispatch" replacement for a
-// sparse per-engine switch, and having ONE copy keeps that table and its
-// branch-predictor state hot across every engine in the process.
+// the one-lane BatchEngine (which the scalar Engine is; its state layout
+// at one lane is exactly the scalar layout) and the ParallelEngine's
+// workers. The switch is dense over a uint8 opcode enumeration, which the
+// Go compiler lowers to a jump table — the "threaded dispatch"
+// replacement for a sparse per-engine switch, and having ONE copy keeps
+// that table and its branch-predictor state hot across every engine in
+// the process.
 //
 // mark is the engine's consumer-waking hook, called with a LOGICAL slot
 // after a store changed its value. A nil mark selects straight-line
@@ -21,7 +22,7 @@ import (
 // reason the unfused Verilator-style variant also gets faster: stores
 // stop paying a compare+branch each. Engines must pick nil consistently
 // (all engines suppress in-kernel marks when activity is off) so
-// snapshot Dirty flags stay bit-exact across scalar/batch/parallel.
+// snapshot Dirty flags stay bit-exact across lane counts and engines.
 //
 // onMem observes KMemRead traffic (the host performance model); nil for
 // every hot path, costing one predictable branch per memory read.

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"dedupsim/internal/circuit"
 	"dedupsim/internal/codegen"
 )
@@ -14,26 +12,11 @@ import (
 // memory it reads was written, or a testbench input moved). With activity
 // skipping disabled it models Verilator-style unconditional full-cycle
 // evaluation.
+//
+// Engine is a one-lane BatchEngine: it owns no state of its own, only the
+// plain-field view of lane 0's counters and the instrumentation hooks.
 type Engine struct {
-	p        *codegen.Program
-	activity bool
-
-	state []uint64
-	mems  [][]uint64
-	temps []uint64
-	dirty []bool
-
-	// markFn is the store hook execKernel calls on changed slots: the
-	// method value of markConsumers when activity skipping is on, nil when
-	// off (dirty flags are never read then, so stores go straight-line).
-	// Bound once at construction — no per-activation closure allocation.
-	markFn func(int32)
-	// memFwd forwards memory-read observations to OnMemAccess; bound once
-	// so the instrumented path does not allocate per activation either.
-	memFwd func(mem int32, addr uint64)
-
-	inputs  map[string]codegen.PortSpec
-	outputs map[string]codegen.PortSpec
+	b *BatchEngine
 
 	// Cycles counts executed steps since reset.
 	Cycles int64
@@ -51,69 +34,31 @@ type Engine struct {
 	// evaluation, committed writes) with concrete addresses for the data-
 	// cache model.
 	OnMemAccess func(mem int32, addr uint64, write bool)
-	// OnStep, when set, runs at the start of every Step with the cycle
-	// count so far; the farm's fault-injection layer hooks stall faults
-	// in here. One nil check per cycle when unset.
-	OnStep func(cycles int64)
 }
 
 // New builds an engine. activity enables ESSENT-style partition skipping.
 func New(p *codegen.Program, activity bool) *Engine {
-	maxTemps := 0
-	for _, k := range p.Kernels {
-		if k.NumTemps > maxTemps {
-			maxTemps = k.NumTemps
-		}
+	b, err := NewBatch(p, activity, 1)
+	if err != nil {
+		panic(err) // unreachable: one lane is always in range
 	}
-	e := &Engine{
-		p:        p,
-		activity: activity,
-		state:    make([]uint64, p.StateWords()),
-		temps:    make([]uint64, maxTemps),
-		dirty:    make([]bool, p.NumParts),
-		inputs:   map[string]codegen.PortSpec{},
-		outputs:  map[string]codegen.PortSpec{},
-	}
-	if activity {
-		e.markFn = e.markConsumers
-	}
-	e.memFwd = func(mem int32, addr uint64) { e.OnMemAccess(mem, addr, false) }
-	e.mems = make([][]uint64, len(p.Mems))
-	for i, m := range p.Mems {
-		e.mems[i] = make([]uint64, m.Depth)
-	}
-	for _, in := range p.Inputs {
-		e.inputs[in.Name] = in
-	}
-	for _, out := range p.Outputs {
-		e.outputs[out.Name] = out
-	}
-	e.Reset()
-	return e
+	return &Engine{b: b}
 }
 
 // Program returns the program being executed.
-func (e *Engine) Program() *codegen.Program { return e.p }
+func (e *Engine) Program() *codegen.Program { return e.b.p }
+
+// syncCounters copies lane 0's counters into the exported fields.
+func (e *Engine) syncCounters() {
+	b := e.b
+	e.Cycles, e.ActsExecuted, e.ActsSkipped, e.DynInstrs = b.Cycles[0], b.ActsExecuted[0], b.ActsSkipped[0], b.DynInstrs[0]
+}
 
 // Reset zeroes all state, restores register reset values, and marks every
 // partition dirty so the first cycle evaluates everything.
 func (e *Engine) Reset() {
-	for i := range e.state {
-		e.state[i] = 0
-	}
-	for _, r := range e.p.Regs {
-		e.state[r.Cur] = r.Reset
-		e.state[r.Next] = r.Reset
-	}
-	for _, m := range e.mems {
-		for i := range m {
-			m[i] = 0
-		}
-	}
-	for i := range e.dirty {
-		e.dirty[i] = true
-	}
-	e.Cycles, e.ActsExecuted, e.ActsSkipped, e.DynInstrs = 0, 0, 0, 0
+	e.b.Reset()
+	e.syncCounters()
 }
 
 // InputHandle is a pre-resolved named input: the slot and width mask are
@@ -141,126 +86,27 @@ func ResolveInput(p *codegen.Program, name string) (InputHandle, bool) {
 }
 
 // InputHandle resolves a named input of this engine's program.
-func (e *Engine) InputHandle(name string) (InputHandle, bool) {
-	in, ok := e.inputs[name]
-	if !ok {
-		return InputHandle{}, false
-	}
-	return InputHandle{slot: in.Slot, mask: circuit.Mask(in.Width), ok: true}, true
-}
+func (e *Engine) InputHandle(name string) (InputHandle, bool) { return e.b.InputHandle(name) }
 
 // SetInput drives a named input, dirtying its consumers if it changed.
-func (e *Engine) SetInput(name string, v uint64) error {
-	h, ok := e.InputHandle(name)
-	if !ok {
-		return fmt.Errorf("sim: no input %q", name)
-	}
-	e.SetInputBySlot(h, v)
-	return nil
-}
+func (e *Engine) SetInput(name string, v uint64) error { return e.b.SetInput(0, name, v) }
 
 // SetInputBySlot drives a pre-resolved input — the hot-path form of
-// SetInput (no map lookup, no mask computation). Invalid handles no-op.
-func (e *Engine) SetInputBySlot(h InputHandle, v uint64) {
-	if !h.ok {
-		return
-	}
-	v &= h.mask
-	if e.state[h.slot] != v {
-		e.state[h.slot] = v
-		e.markConsumers(h.slot)
-	}
-}
+// SetInput (no name lookup, no mask computation). Invalid handles no-op.
+func (e *Engine) SetInputBySlot(h InputHandle, v uint64) { e.b.SetLaneInput(0, h, v) }
 
 // Output reads a named output as of the last Step.
-func (e *Engine) Output(name string) (uint64, error) {
-	out, ok := e.outputs[name]
-	if !ok {
-		return 0, fmt.Errorf("sim: no output %q", name)
-	}
-	return e.state[out.Slot], nil
-}
+func (e *Engine) Output(name string) (uint64, error) { return e.b.Output(0, name) }
 
 // Slot reads a raw state slot (tests and probes), resolving packed 1-bit
 // slots through the program's word/bit map.
-func (e *Engine) Slot(s int32) uint64 {
-	w, b := e.p.WordOf(s)
-	if b < 0 {
-		return e.state[w]
-	}
-	return (e.state[w] >> uint(b)) & 1
-}
-
-func (e *Engine) markConsumers(slot int32) {
-	p := e.p
-	for _, pt := range p.SlotConsEdge[p.SlotConsOff[slot]:p.SlotConsOff[slot+1]] {
-		e.dirty[pt] = true
-	}
-}
+func (e *Engine) Slot(s int32) uint64 { return e.b.Slot(0, s) }
 
 // Step evaluates one full cycle: the scheduled activations (skipping
 // clean partitions when activity mode is on), then register and memory
 // commits.
 func (e *Engine) Step() {
-	if e.OnStep != nil {
-		e.OnStep(e.Cycles)
-	}
-	p := e.p
-	for i := range p.Activations {
-		act := &p.Activations[i]
-		if e.activity && !e.dirty[act.Part] {
-			e.ActsSkipped++
-			continue
-		}
-		e.dirty[act.Part] = false
-		e.exec(act)
-		e.ActsExecuted++
-		if e.OnActivation != nil {
-			e.OnActivation(int32(i))
-		}
-	}
-	// Register commits: gather-then-write is unnecessary because next
-	// slots are distinct from cur slots and were finalized during eval.
-	for i := range p.Regs {
-		r := &p.Regs[i]
-		if r.En >= 0 && e.state[r.En] == 0 {
-			continue
-		}
-		next := e.state[r.Next]
-		if e.state[r.Cur] != next {
-			e.state[r.Cur] = next
-			e.markConsumers(r.Cur)
-		}
-	}
-	// Memory commits in port order.
-	for i := range p.WritePorts {
-		wp := &p.WritePorts[i]
-		if e.state[wp.En] == 0 {
-			continue
-		}
-		m := e.mems[wp.Mem]
-		addr := e.state[wp.Addr] % uint64(len(m))
-		data := e.state[wp.Data] & wp.Mask
-		if e.OnMemAccess != nil {
-			e.OnMemAccess(wp.Mem, addr, true)
-		}
-		if m[addr] != data {
-			m[addr] = data
-			for _, pt := range p.MemConsEdge[p.MemConsOff[wp.Mem]:p.MemConsOff[wp.Mem+1]] {
-				e.dirty[pt] = true
-			}
-		}
-	}
-	e.Cycles++
-}
-
-// exec interprets one kernel activation through the shared dispatch core.
-func (e *Engine) exec(act *codegen.Activation) {
-	k := e.p.Kernels[act.Kernel]
-	onMem := e.memFwd
-	if e.OnMemAccess == nil {
-		onMem = nil
-	}
-	execKernel(e.p, k, act, e.state, e.temps, e.mems, e.markFn, onMem)
-	e.DynInstrs += int64(k.DynInstrs)
+	e.b.onAct, e.b.onMem = e.OnActivation, e.OnMemAccess
+	e.b.Step()
+	e.syncCounters()
 }

@@ -24,14 +24,14 @@ import (
 // length against the remaining input (a flipped length bit cannot force
 // a huge allocation), and finally the checksum. Structural compatibility
 // with a Program (state-word count, memory depths) is checked by
-// Restore, not here: the same bytes may be restored into a scalar Engine
-// or a batch lane of any engine running that Program.
+// RestoreLane, not here: the same bytes may be restored into any lane of
+// any engine running that Program.
 //
 // Version history: v1 wrote one word per logical slot; v2 writes the
 // program's state WORDS, which differ from slots only when 1-bit packing
 // is active. The byte layout is identical, so v1 snapshots still decode
 // — a v1 snapshot restores exactly into an unpacked program (words ==
-// slots) and fails checkShape's word-count check against a packed one,
+// slots) and fails RestoreLane's word-count check against a packed one,
 // never restoring silently-wrong state.
 
 var snapshotMagic = [4]byte{'D', 'S', 'N', 'P'}

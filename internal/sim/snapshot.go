@@ -9,10 +9,10 @@ import "fmt"
 // farm retries a crashed job from its last checkpoint instead of cycle 0
 // — and enables bisection debugging (restore, re-run with waves on).
 //
-// A Snapshot is engine-shape-agnostic within one Program: Engine.Save /
-// BatchEngine.SaveLane produce the same layout, and either can be
-// restored into a scalar Engine or a batch lane executing the same
-// Program. That is what lets a failed batch lane resume on its own.
+// A Snapshot is lane-agnostic within one Program: BatchEngine.SaveLane
+// (which Engine.Save is, at lane 0) captures one lane, and the snapshot
+// restores into any lane of any engine executing the same Program. That
+// is what lets a failed batch lane resume on its own.
 type Snapshot struct {
 	State  []uint64
 	Mems   [][]uint64
@@ -36,18 +36,7 @@ type Snapshot struct {
 // Save captures the engine's architectural state plus the activity flags
 // and counters needed for bit-exact resume.
 func (e *Engine) Save() *Snapshot {
-	s := &Snapshot{
-		State:        append([]uint64(nil), e.state...),
-		Mems:         make([][]uint64, len(e.mems)),
-		Cycles:       e.Cycles,
-		Dirty:        append([]bool(nil), e.dirty...),
-		ActsExecuted: e.ActsExecuted,
-		ActsSkipped:  e.ActsSkipped,
-		DynInstrs:    e.DynInstrs,
-	}
-	for i, m := range e.mems {
-		s.Mems[i] = append([]uint64(nil), m...)
-	}
+	s, _ := e.b.SaveLane(0) // lane 0 always exists
 	return s
 }
 
@@ -57,52 +46,17 @@ func (e *Engine) Save() *Snapshot {
 // without them all partitions are marked dirty, which is conservative
 // and always correct.
 func (e *Engine) Restore(s *Snapshot) error {
-	if err := checkShape(s, len(e.state), e.mems); err != nil {
+	if err := e.b.RestoreLane(0, s); err != nil {
 		return err
 	}
-	copy(e.state, s.State)
-	for i := range s.Mems {
-		copy(e.mems[i], s.Mems[i])
-	}
-	e.Cycles = s.Cycles
-	if len(s.Dirty) == len(e.dirty) {
-		copy(e.dirty, s.Dirty)
-	} else {
-		for i := range e.dirty {
-			e.dirty[i] = true
-		}
-	}
-	e.ActsExecuted = s.ActsExecuted
-	e.ActsSkipped = s.ActsSkipped
-	e.DynInstrs = s.DynInstrs
-	return nil
-}
-
-// checkShape validates a snapshot against an engine's state-word count
-// and per-memory depths (memory slices carry lane-collapsed depths). The
-// word count depends on the program's 1-bit packing layout, so a
-// snapshot from a differently-compiled program (e.g. packing disabled)
-// fails fast here instead of restoring silently-wrong state.
-func checkShape(s *Snapshot, words int, mems [][]uint64) error {
-	if len(s.State) != words {
-		return fmt.Errorf("sim: snapshot has %d state words, engine has %d", len(s.State), words)
-	}
-	if len(s.Mems) != len(mems) {
-		return fmt.Errorf("sim: snapshot has %d memories, engine has %d", len(s.Mems), len(mems))
-	}
-	for i := range s.Mems {
-		if len(s.Mems[i]) != len(mems[i]) {
-			return fmt.Errorf("sim: snapshot memory %d has depth %d, engine has %d",
-				i, len(s.Mems[i]), len(mems[i]))
-		}
-	}
+	e.syncCounters()
 	return nil
 }
 
 // SaveLane captures one batch lane's architectural state, activity
-// flags, and counters in the same layout Engine.Save produces, so the
-// snapshot can be resumed on a scalar Engine or restored into a batch
-// lane (the farm re-runs a failed lane alone, from this snapshot).
+// flags, and counters in the lane-collapsed layout, so the snapshot can
+// be restored into any lane of any engine running the same Program (the
+// farm re-runs a failed lane alone, from this snapshot).
 func (e *BatchEngine) SaveLane(lane int) (*Snapshot, error) {
 	if lane < 0 || lane >= e.lanes {
 		return nil, fmt.Errorf("sim: lane %d out of [0, %d)", lane, e.lanes)
@@ -136,19 +90,26 @@ func (e *BatchEngine) SaveLane(lane int) (*Snapshot, error) {
 }
 
 // RestoreLane loads a snapshot into one batch lane without disturbing
-// the other lanes. The snapshot may come from Engine.Save or SaveLane of
-// any engine running the same Program.
+// the other lanes. The snapshot may come from SaveLane of any engine
+// running the same Program.
 func (e *BatchEngine) RestoreLane(lane int, s *Snapshot) error {
 	if lane < 0 || lane >= e.lanes {
 		return fmt.Errorf("sim: lane %d out of [0, %d)", lane, e.lanes)
 	}
 	L := e.lanes
-	laneMems := make([][]uint64, len(e.mems))
-	for i, m := range e.mems {
-		laneMems[i] = m[:len(m)/L] // depth carrier for shape checking only
+	// The word count depends on the program's 1-bit packing layout, so a
+	// snapshot from a differently-compiled program (e.g. packing disabled)
+	// fails fast here instead of restoring silently-wrong state.
+	if len(s.State) != len(e.state)/L {
+		return fmt.Errorf("sim: snapshot has %d state words, engine has %d", len(s.State), len(e.state)/L)
 	}
-	if err := checkShape(s, len(e.state)/L, laneMems); err != nil {
-		return err
+	if len(s.Mems) != len(e.mems) {
+		return fmt.Errorf("sim: snapshot has %d memories, engine has %d", len(s.Mems), len(e.mems))
+	}
+	for i, m := range e.mems {
+		if len(s.Mems[i]) != len(m)/L {
+			return fmt.Errorf("sim: snapshot memory %d has depth %d, engine has %d", i, len(s.Mems[i]), len(m)/L)
+		}
 	}
 	for w, v := range s.State {
 		e.state[w*L+lane] = v

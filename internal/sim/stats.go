@@ -26,7 +26,7 @@ type PartitionStats struct {
 // NewPartitionStats attaches a statistics collector to an engine; it
 // hooks OnActivation (replacing any previous hook).
 func NewPartitionStats(e *Engine) *PartitionStats {
-	p := e.p
+	p := e.Program()
 	st := &PartitionStats{
 		numParts: p.NumParts,
 		executed: make([]int64, p.NumParts),

@@ -114,14 +114,7 @@ func (w Workload) NewDrive() func(d Driver, cycle int) {
 // string hashing. Inputs the design does not expose are skipped, matching
 // NewDrive's ignore-errors behavior.
 func (w Workload) NewEngineDrive(e *sim.Engine) func(cycle int) {
-	vals := w.NewValues()
-	hStim, _ := e.InputHandle("stim")
-	hValid, _ := e.InputHandle("stim_valid")
-	return func(cycle int) {
-		stim, valid := vals(cycle)
-		e.SetInputBySlot(hStim, stim)
-		e.SetInputBySlot(hValid, valid)
-	}
+	return w.NewEngineDriveFrom(e, 0)
 }
 
 // NewEngineDriveFrom is NewEngineDrive with the stimulus stream

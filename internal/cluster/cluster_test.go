@@ -287,10 +287,12 @@ func TestClusterSmokeSpillWarm(t *testing.T) {
 
 	// Flood same-hash jobs. Consistent hashing sends them all to one home
 	// node; bounded load spills the overflow to the peer, which warms from
-	// the router's artifact store instead of compiling.
+	// the router's artifact store instead of compiling. The router drops a
+	// job's load the moment it finishes, so flood jobs must outlast the
+	// submit loop for the home node's load to build up.
 	ids := []string{seed.ID}
 	for i := 2; i <= 9; i++ {
-		v, err := r.Submit(ctx, clusterSpec("Rocket-2C", 2000, uint64(i)))
+		v, err := r.Submit(ctx, clusterSpec("Rocket-2C", 20000, uint64(i)))
 		if err != nil {
 			t.Fatalf("flood submit %d: %v", i, err)
 		}

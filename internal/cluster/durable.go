@@ -71,6 +71,7 @@ func (r *Router) journalLocked(rec durable.PlacementRecord) {
 	if r.store == nil {
 		return
 	}
+	r.appends++
 	if err := r.store.AppendPlacement(rec); err != nil {
 		r.logf("cluster: placement journal: %v", err)
 	}
@@ -244,10 +245,11 @@ func (r *Router) recoverFromStore() error {
 
 	// Re-track replayed fleet jobs. Unfinished jobs on a dead (or
 	// vanished) node are orphaned here and the first heartbeat tick
-	// migrates them. Finished jobs become terminal tombstones — status
-	// from the journal, stats re-fetched from the owner by the poll loop
-	// if it is still alive — so clients can keep querying jobs that
-	// completed shortly before the crash.
+	// migrates them; the rest get completion watchers once recovery is
+	// done. Finished jobs become terminal tombstones — status from the
+	// journal, stats backfilled by one watcher GET to the owner if it is
+	// still alive — so clients can keep querying jobs that completed
+	// shortly before the crash.
 	for _, id := range jobOrder {
 		rj := jobs[id]
 		var spec farm.JobSpec

@@ -193,8 +193,9 @@ func (r *Router) applyPeerDelta(p *peerState, d PlacementDelta) {
 		fj, ok := r.jobs[pj.ID]
 		if !ok {
 			// A job we have never seen: adopt it wholesale. From here on
-			// our own prober refreshes its view (we know node + remote ID),
-			// and we can migrate it if duty falls to us.
+			// our own watcher follows it (the next heartbeat starts one;
+			// we know node + remote ID), and we can migrate it if duty
+			// falls to us.
 			fj = &fleetJob{
 				id:         pj.ID,
 				spec:       pj.Spec,
@@ -251,6 +252,7 @@ func (r *Router) applyPeerDelta(p *peerState, d PlacementDelta) {
 				if pj.Terminal {
 					fj.terminal = true
 					fj.trace.Instant("done", "status", string(pj.View.Status), "node", pj.Node)
+					r.notifyLocked()
 				}
 			}
 			fj.rev = pj.Rev

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -222,7 +223,10 @@ type registration struct {
 //	GET  /nodes             membership table
 //	POST /jobs              submit a JobSpec; routed to a worker node
 //	GET  /jobs              fleet job list
-//	GET  /jobs/{id}         one fleet job
+//	GET  /jobs/{id}         one fleet job (?wait=<duration> long-polls
+//	                        like a node's: answers once the job is
+//	                        terminal or the wait, capped at farm.MaxWait,
+//	                        elapses)
 //	GET  /jobs/{id}/vcd     proxied waveform fetch from the owner node
 //	GET  /jobs/{id}/trace   merged lifecycle trace: router placement events
 //	                        plus the owner node's job events on one Chrome
@@ -315,10 +319,20 @@ func Handler(r *Router) http.Handler {
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, req *http.Request) {
+		wait, err := farm.ParseWait(req)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		v, ok := r.Job(req.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no fleet job %q", req.PathValue("id")))
 			return
+		}
+		if wait > 0 {
+			ctx, cancel := context.WithTimeout(req.Context(), wait)
+			v, _ = r.WaitDone(ctx, v.ID)
+			cancel()
 		}
 		writeJSON(w, http.StatusOK, v)
 	})

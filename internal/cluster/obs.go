@@ -9,8 +9,8 @@ import (
 
 // Router-side observability. The router keeps its own two histograms —
 // forward latency (one POST /jobs round trip to a worker) and fleet
-// end-to-end job latency (Submit accept to terminal, as seen from the
-// router's poll loop) — and a per-fleet-job trace ring mirroring the
+// end-to-end job latency (Submit accept to terminal, as learned by the
+// job's completion watcher) — and a per-fleet-job trace ring mirroring the
 // farm's. The router trace covers what only the router can see: placement,
 // forwarding, orphaning, and migration; the worker-side events are merged
 // in at read time by the /jobs/{id}/trace handler, which fetches the
@@ -42,9 +42,9 @@ func (o *routerObs) e2eObs(d time.Duration) {
 type FleetLatencySummaries struct {
 	// Forward is the round-trip latency of successful job placements.
 	Forward obs.Summary `json:"forward"`
-	// EndToEnd is fleet job latency from router accept to the poll tick
-	// that observed the terminal state (so it includes one heartbeat
-	// period of detection lag).
+	// EndToEnd is fleet job latency from router accept to the router
+	// learning the terminal state (one long-poll answer after the node
+	// finished, not a heartbeat period).
 	EndToEnd obs.Summary `json:"end_to_end"`
 }
 

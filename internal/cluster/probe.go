@@ -17,11 +17,14 @@ import (
 // Heartbeats. The router is the only prober — nodes never gossip — so
 // liveness is one round of GETs per tick against each node's existing
 // health endpoints (/livez, /readyz; nothing cluster-specific runs on a
-// node). The same tick piggybacks everything else the router wants off a
-// node while it is still alive: job views (terminal transitions and
+// node). The same tick pulls the migration insurance the router wants
+// off a node while it is still alive: non-terminal job views (for
 // checkpoint advancement), fresh checkpoints, compile artifacts, and
 // stats. Pulling eagerly is the point — once a node dies it cannot be
-// asked for anything, so migration insurance must already be here.
+// asked for anything, so that insurance must already be here. Terminal
+// transitions do not ride the tick: completion watchers (watch.go)
+// long-poll each placed job, and the tick only restarts a watcher that
+// went missing.
 
 // heartbeatLoop drives pollOnce until Close.
 func (r *Router) heartbeatLoop() {
@@ -46,7 +49,7 @@ type probeResult struct {
 	alive bool
 	ready bool
 	stats []byte
-	jobs  []farm.JobView
+	jobs  []farm.JobView // the node's non-terminal jobs
 }
 
 // pollOnce probes every non-dead node, applies liveness transitions,
@@ -66,12 +69,55 @@ func (r *Router) pollOnce(ctx context.Context) {
 	for _, t := range targets {
 		results = append(results, r.probeNode(ctx, t.id, t.addr))
 	}
+	ckptPulls := r.applyProbes(results, time.Now())
 
-	// Apply liveness + job views; collect the follow-up fetches.
-	type ckptPull struct{ fleetID, addr, remoteID string }
+	// Pull fresh checkpoints off live nodes (migration insurance).
+	for _, p := range ckptPulls {
+		data := r.httpGet(ctx, p.addr+"/jobs/"+p.remoteID+"/checkpoint")
+		if data == nil {
+			continue
+		}
+		snap, err := sim.DecodeSnapshot(data)
+		if err != nil {
+			continue // torn mid-write read; next tick retries
+		}
+		r.mu.Lock()
+		installed := false
+		if fj, ok := r.jobs[p.fleetID]; ok && snap.Cycles > fj.ckptCycle {
+			fj.checkpoint = data
+			fj.ckptCycle = snap.Cycles
+			// seq only, no rev bump: peers learn fresh checkpoints through
+			// the cycle-compare merge, not last-writer-wins (both routers
+			// pull checkpoints independently and the newest must win).
+			fj.seq = r.bumpSeqLocked()
+			r.ckptsPulled++
+			installed = true
+		}
+		r.mu.Unlock()
+		if installed && r.store != nil {
+			// Persist outside r.mu — migration insurance must survive the
+			// router too, not just the node.
+			if err := r.store.SaveCheckpoint(p.fleetID, data); err != nil {
+				r.logf("cluster: persist checkpoint %s: %v", p.fleetID, err)
+			}
+		}
+	}
+
+	r.replicateArtifacts(ctx, results, targets)
+	r.migrateOrphans(ctx)
+}
+
+// ckptPull is one checkpoint fetch a heartbeat round owes a live node.
+type ckptPull struct{ fleetID, addr, remoteID string }
+
+// applyProbes folds one heartbeat round into router state under r.mu:
+// liveness transitions, the nodes' non-terminal job views, orphaning of
+// a newly dead node's jobs, and a watcher for every placement left
+// without one. It returns the checkpoint pulls to make outside the lock.
+func (r *Router) applyProbes(results []probeResult, now time.Time) []ckptPull {
 	var ckptPulls []ckptPull
-	now := time.Now()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	var newlyDead []string
 	for _, res := range results {
 		m := r.registry.get(res.id)
@@ -109,25 +155,7 @@ func (r *Router) pollOnce(ctx context.Context) {
 			if !ok {
 				continue
 			}
-			fj.view = v
-			if v.Status.Terminal() && !fj.terminal {
-				fj.terminal = true
-				m.load--
-				fj.rev++
-				fj.seq = r.bumpSeqLocked()
-				r.journalLocked(durable.PlacementRecord{
-					Type: durable.PRecFinish, Job: fj.id, Status: string(v.Status),
-				})
-				if r.store != nil {
-					// A finished job's checkpoint is dead weight: drop it so the
-					// data dir tracks live state only.
-					r.store.RemoveCheckpoint(fj.id)
-				}
-				// End-to-end latency is router accept to this poll tick, so
-				// it includes up to one heartbeat period of detection lag.
-				fj.trace.Instant("done", "status", string(v.Status), "node", res.id)
-				r.obs.e2eObs(now.Sub(fj.created))
-			}
+			r.applyViewLocked(fj, v, now)
 			if !fj.terminal && v.CheckpointCycle > fj.ckptCycle {
 				ckptPulls = append(ckptPulls, ckptPull{fj.id, m.addr, fj.remoteID})
 			}
@@ -150,42 +178,8 @@ func (r *Router) pollOnce(ctx context.Context) {
 			now.Format(time.RFC3339), id, r.cfg.DeadAfter, orphans))
 		r.logf("cluster: node %s dead, %d jobs to migrate", id, orphans)
 	}
-	r.mu.Unlock()
-
-	// Pull fresh checkpoints off live nodes (migration insurance).
-	for _, p := range ckptPulls {
-		data := r.httpGet(ctx, p.addr+"/jobs/"+p.remoteID+"/checkpoint")
-		if data == nil {
-			continue
-		}
-		snap, err := sim.DecodeSnapshot(data)
-		if err != nil {
-			continue // torn mid-write read; next tick retries
-		}
-		r.mu.Lock()
-		installed := false
-		if fj, ok := r.jobs[p.fleetID]; ok && snap.Cycles > fj.ckptCycle {
-			fj.checkpoint = data
-			fj.ckptCycle = snap.Cycles
-			// seq only, no rev bump: peers learn fresh checkpoints through
-			// the cycle-compare merge, not last-writer-wins (both routers
-			// pull checkpoints independently and the newest must win).
-			fj.seq = r.bumpSeqLocked()
-			r.ckptsPulled++
-			installed = true
-		}
-		r.mu.Unlock()
-		if installed && r.store != nil {
-			// Persist outside r.mu — migration insurance must survive the
-			// router too, not just the node.
-			if err := r.store.SaveCheckpoint(p.fleetID, data); err != nil {
-				r.logf("cluster: persist checkpoint %s: %v", p.fleetID, err)
-			}
-		}
-	}
-
-	r.replicateArtifacts(ctx, results, targets)
-	r.migrateOrphans(ctx)
+	r.watchAllLocked()
+	return ckptPulls
 }
 
 // probeTarget is one node to poll this tick (snapshotted under r.mu so
@@ -311,6 +305,7 @@ func (r *Router) migrateOrphans(ctx context.Context) {
 				Type: durable.PRecMigrate, Job: fj.id, Node: m.id, From: from,
 				Remote: view.ID, Cycle: fj.ckptCycle,
 			})
+			r.ensureWatchLocked(fj)
 			fj.trace.Instant("migrate", "from", from, "to", m.id,
 				"cause", "node-death", "resume_cycle", strconv.FormatInt(fj.ckptCycle, 10))
 			r.migrationLogs.add(fmt.Sprintf("%s job %s migrated %s -> %s (resume from cycle %d)",
@@ -350,7 +345,7 @@ func (r *Router) probeNode(ctx context.Context, id, addr string) probeResult {
 		}
 	}
 	res.stats = r.httpGet(ctx, addr+"/stats")
-	if data := r.httpGet(ctx, addr+"/jobs"); data != nil {
+	if data := r.httpGet(ctx, addr+"/jobs?live=1"); data != nil {
 		var views []farm.JobView
 		if json.Unmarshal(data, &views) == nil {
 			res.jobs = views

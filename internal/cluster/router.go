@@ -24,7 +24,10 @@ type RouterConfig struct {
 	// VirtualNodes per member on the placement ring (default
 	// DefaultVirtualNodes).
 	VirtualNodes int
-	// HeartbeatEvery is the node-probe period (default 1s).
+	// HeartbeatEvery is the node-probe period (default 1s). The probe
+	// carries liveness and replication (checkpoint pulls, artifacts);
+	// job completion does not wait for it, since every placed job is
+	// long-polled on its node.
 	HeartbeatEvery time.Duration
 	// DeadAfter is how many consecutive missed probes kill a node
 	// (default 3). Between the first miss and death a node is "suspect":
@@ -35,7 +38,8 @@ type RouterConfig struct {
 	// ceil(LoadFactor * (jobs+1) / nodes) (default 1.25, the classic
 	// consistent-hashing-with-bounded-loads constant).
 	LoadFactor float64
-	// ProbeTimeout bounds each HTTP call to a node (default 2s).
+	// ProbeTimeout bounds each HTTP call to a node (default 2s); a
+	// completion watcher's long poll waits half of it.
 	ProbeTimeout time.Duration
 	// MaxJobs bounds the router's fleet-job table, counting non-terminal
 	// jobs (default 4096); beyond it Submit sheds with ErrFleetBusy.
@@ -160,6 +164,10 @@ type fleetJob struct {
 	remoteID string // the owner's job ID for it
 	view     farm.JobView
 	terminal bool
+	// watched is the placement the job's last completion watcher was
+	// started for; ensureWatchLocked starts one only when it differs
+	// from the current placement.
+	watched placement
 
 	// checkpoint is the newest snapshot pulled from the owner while it
 	// was alive — migration insurance, since a dead node cannot be asked
@@ -183,7 +191,7 @@ type fleetJob struct {
 	seq int64
 
 	// created stamps router admission; the fleet end-to-end histogram
-	// measures from here to the poll tick that saw the terminal state.
+	// measures from here to the router learning the terminal state.
 	created time.Time
 	// trace is the router-side lifecycle trace (nil with DisableObs).
 	// It shares the job's TraceID with the worker-side trace; the
@@ -268,6 +276,20 @@ type Router struct {
 	// which also disables per-job traces).
 	obs *routerObs
 
+	// changed is closed and replaced under mu on every terminal
+	// transition; WaitDone sleeps on it.
+	changed chan struct{}
+	// Completion watchers (watch.go): watchCtx cancels their long polls,
+	// watchers counts them for Close and Kill, watching is the same
+	// count readable under mu, and closing refuses new ones.
+	watchCtx  context.Context
+	stopWatch context.CancelFunc
+	watchers  sync.WaitGroup
+	watching  int
+	closing   bool
+	// appends counts placement-journal appends attempted.
+	appends int64
+
 	stop    chan struct{}
 	stopped chan struct{}
 }
@@ -302,9 +324,11 @@ func OpenRouter(cfg RouterConfig) (*Router, error) {
 		artifacts:     lru.New[string, []byte](cfg.MaxArtifacts),
 		routerID:      cfg.RouterID,
 		migrationLogs: newRingLog(cfg.MaxMigrationLog),
+		changed:       make(chan struct{}),
 		stop:          make(chan struct{}),
 		stopped:       make(chan struct{}),
 	}
+	r.watchCtx, r.stopWatch = context.WithCancel(context.Background())
 	if !cfg.DisableObs {
 		r.obs = &routerObs{}
 	}
@@ -326,25 +350,24 @@ func OpenRouter(cfg RouterConfig) (*Router, error) {
 			return nil, err
 		}
 	}
+	r.mu.Lock()
+	r.watchAllLocked()
+	r.mu.Unlock()
 	go r.heartbeatLoop()
 	return r, nil
 }
 
-// Close stops the heartbeat prober and, for a durable router, shuts
-// the store down cleanly: the journal is compacted to live state and
-// frozen (flushed, fsynced) rather than abandoned, so a restart after
-// Close replays only current state — zero records when the fleet was
-// quiescent. Worker nodes are left running — the router owns
-// placement, not node lifecycles.
+// Close stops the heartbeat prober and the completion watchers and,
+// for a durable router, shuts the store down cleanly: the journal is
+// compacted to live state and frozen (flushed, fsynced) rather than
+// abandoned, so a restart after Close replays only current state —
+// zero records when the fleet was quiescent. Worker nodes are left
+// running — the router owns placement, not node lifecycles.
 func (r *Router) Close() {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-	<-r.stopped
+	r.stopLoops()
 	if r.store != nil {
-		// The loop is stopped, so no journal appends race the compaction.
+		// The heartbeat and the watchers are stopped, so neither appends
+		// during the compaction.
 		if err := r.compactJournal(); err != nil {
 			r.logf("cluster: router close: compact: %v", err)
 		}
@@ -358,12 +381,7 @@ func (r *Router) Close() {
 // the fsync policy already guaranteed. Tests use it to exercise
 // recovery; production crashes get the same on-disk state for free.
 func (r *Router) Kill() {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-	<-r.stopped
+	r.stopLoops()
 	if r.store != nil {
 		r.store.Abandon()
 		r.store.Close()
@@ -583,6 +601,7 @@ func (r *Router) Submit(ctx context.Context, spec farm.JobSpec) (FleetJobView, e
 			r.spilled++
 		}
 		r.journalAdmitLocked(fj, spill)
+		r.ensureWatchLocked(fj)
 		out := r.fleetViewLocked(fj)
 		r.mu.Unlock()
 		r.cfg.Tenants.NoteSubmitted(spec.Tenant)
@@ -707,24 +726,27 @@ func (r *Router) Artifact(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// WaitDone blocks until the fleet job reaches a terminal state (polling
-// the router's own table, which the heartbeat loop refreshes) or ctx
-// expires.
+// WaitDone blocks until the fleet job reaches a terminal state or ctx
+// expires. It sleeps on the router's changed channel, which every
+// terminal transition closes, so it wakes as soon as a watcher (or a
+// peer merge) records the finish.
 func (r *Router) WaitDone(ctx context.Context, id string) (FleetJobView, error) {
-	t := time.NewTicker(10 * time.Millisecond)
-	defer t.Stop()
 	for {
-		v, ok := r.Job(id)
+		r.mu.Lock()
+		fj, ok := r.jobs[id]
 		if !ok {
+			r.mu.Unlock()
 			return FleetJobView{}, fmt.Errorf("cluster: no fleet job %q", id)
 		}
+		v, changed := r.fleetViewLocked(fj), r.changed
+		r.mu.Unlock()
 		if v.Status.Terminal() && !v.Orphaned {
 			return v, nil
 		}
 		select {
 		case <-ctx.Done():
 			return v, ctx.Err()
-		case <-t.C:
+		case <-changed:
 		}
 	}
 }

@@ -15,8 +15,11 @@ import (
 // Handler returns the farm's HTTP/JSON API:
 //
 //	POST /jobs              submit a JobSpec, returns the JobView
-//	GET  /jobs              list jobs (most recent last)
-//	GET  /jobs/{id}         job status + results
+//	GET  /jobs              list jobs (most recent last; ?live=1 lists
+//	                        only non-terminal jobs)
+//	GET  /jobs/{id}         job status + results (?wait=<duration> long-
+//	                        polls: answers once the job is terminal or the
+//	                        wait, capped at MaxWait, elapses)
 //	POST /jobs/{id}/cancel  cancel a queued or running job
 //	GET  /jobs/{id}/vcd     fetch the captured waveform (spec.vcd jobs)
 //	GET  /jobs/{id}/checkpoint  newest encoded checkpoint (fleet migration)
@@ -84,19 +87,42 @@ func Handler(f *Farm) http.Handler {
 	})
 
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		jobs := f.Jobs()
-		views := make([]JobView, len(jobs))
-		for i, j := range jobs {
-			views[i] = j.View()
+		live := false
+		if s := r.URL.Query().Get("live"); s != "" {
+			var err error
+			if live, err = strconv.ParseBool(s); err != nil {
+				httpError(w, http.StatusBadRequest, fmt.Errorf("bad live filter %q", s))
+				return
+			}
+		}
+		views := []JobView{}
+		for _, j := range f.Jobs() {
+			if v := j.View(); !live || !v.Status.Terminal() {
+				views = append(views, v)
+			}
 		}
 		writeJSON(w, http.StatusOK, views)
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		wait, err := ParseWait(r)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
 		j, ok := f.Job(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 			return
+		}
+		if wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-j.Done():
+			case <-t.C:
+			case <-r.Context().Done():
+			}
+			t.Stop()
 		}
 		writeJSON(w, http.StatusOK, j.View())
 	})
@@ -242,6 +268,25 @@ func Handler(f *Farm) http.Handler {
 	})
 
 	return mux
+}
+
+// MaxWait caps a long-poll's ?wait=, so no client can pin a handler
+// (and the connection under it) for longer.
+const MaxWait = 30 * time.Second
+
+// ParseWait reads a GET's ?wait=<duration> long-poll bound: 0 when
+// absent, clamped to [0, MaxWait]. The farm's and the router's
+// GET /jobs/{id} both use it.
+func ParseWait(r *http.Request) (time.Duration, error) {
+	s := r.URL.Query().Get("wait")
+	if s == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad wait %q: %w", s, err)
+	}
+	return min(max(d, 0), MaxWait), nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

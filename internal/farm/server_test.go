@@ -294,3 +294,79 @@ func TestServerLivez(t *testing.T) {
 	f.BeginDrain()
 	check("while draining")
 }
+
+// TestServerLongPoll pins GET /jobs/{id}?wait= and GET /jobs?live=1: a
+// long poll answers with the terminal view once the job finishes, or
+// with the current view when the wait elapses first; the live filter
+// lists only non-terminal jobs; malformed parameters are 400s.
+func TestServerLongPoll(t *testing.T) {
+	f := New(Config{Workers: 1})
+	defer f.Close()
+	srv := httptest.NewServer(Handler(f))
+	defer srv.Close()
+
+	submit := func(cycles int) string {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/jobs", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"design":"Rocket-2C","scale":0.1,"cycles":%d}`, cycles)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v JobView
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d, %v", resp.StatusCode, err)
+		}
+		return v.ID
+	}
+	get := func(path string, out any) int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if out != nil && resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+
+	short := submit(500)
+	var v JobView
+	if code := get("/jobs/"+short+"?wait=30s", &v); code != http.StatusOK || v.Status != StatusDone || v.Stats == nil {
+		t.Fatalf("long poll on a short job: HTTP %d, %+v", code, v)
+	}
+
+	long := submit(50_000_000)
+	start := time.Now()
+	if code := get("/jobs/"+long+"?wait=20ms", &v); code != http.StatusOK || v.Status.Terminal() {
+		t.Fatalf("long poll past its wait: HTTP %d, status %s", code, v.Status)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("a 20ms wait held the request for %s", el)
+	}
+	var all, live []JobView
+	get("/jobs", &all)
+	get("/jobs?live=1", &live)
+	if len(all) != 2 || len(live) != 1 || live[0].ID != long {
+		t.Errorf("GET /jobs lists %d, ?live=1 lists %v; want 2 and only %s", len(all), live, long)
+	}
+	if err := f.Cancel(long); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{"/jobs/" + short + "?wait=soon", "/jobs?live=maybe"} {
+		if code := get(path, nil); code != http.StatusBadRequest {
+			t.Errorf("GET %s: HTTP %d, want 400", path, code)
+		}
+	}
+	for in, want := range map[string]time.Duration{"": 0, "-5s": 0, "250ms": 250 * time.Millisecond, "1h": MaxWait} {
+		req := httptest.NewRequest(http.MethodGet, "/jobs/x?wait="+in, nil)
+		if got, err := ParseWait(req); err != nil || got != want {
+			t.Errorf("ParseWait(%q) = %s, %v; want %s", in, got, err, want)
+		}
+	}
+}

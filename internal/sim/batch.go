@@ -27,7 +27,8 @@ const MaxBatchLanes = 64
 // the per-instruction lane loop walks contiguous memory. Activity
 // skipping is per-(partition, lane): dirty[part] is a lane bitmask, and a
 // partition whose mask is clean across all lanes is skipped at batch
-// granularity with a single test.
+// granularity with a single test. One lane keeps a worklist instead
+// (actDirty, see stepL1).
 //
 // Lane-isolation invariant: lanes share the Program (code, tables,
 // schedules) and NOTHING else. Every mutable word — state, memories,
@@ -57,7 +58,14 @@ type BatchEngine struct {
 	state []uint64   // [slot*lanes + lane]
 	mems  [][]uint64 // per memory: [addr*lanes + lane]
 	temps []uint64   // [temp*lanes + lane]
-	dirty []uint64   // per partition: bit l = lane l dirty
+	// dirty (lanes > 1) is per partition: bit l = lane l dirty.
+	dirty []uint64
+	// actDirty (one lane) is the dirty-activation worklist in schedule
+	// order: bit i of word i/64 set means Activations[i] is dirty.
+	// posOfPart inverts Program.PartOfActivation, so a mark on a
+	// consumer partition lands on its schedule position.
+	actDirty  []uint64
+	posOfPart []int32
 	// active has bit l set while lane l is live; Deactivate clears it.
 	active uint64
 	// all is the full lane mask (lanes low bits set).
@@ -72,33 +80,30 @@ type BatchEngine struct {
 	// laneBuf is scratch for per-activation execution lane lists.
 	laneBuf []int32
 
-	// Store-driven register-commit skipping. A register can need a commit
-	// in lane l only if its next-state or enable slot CHANGED in lane l
-	// since its last scan: next is written solely by change-detected
-	// kernel stores, and while an unchanged enable sits at 0 the commit
-	// stays blocked (a pending cur!=next under a 0 enable is re-examined
-	// the moment the enable's slot moves). Every changed store already
-	// funnels through markConsumers, which ORs the changed-lane mask into
-	// regPending for watched slots; the commit phase skips a register
-	// whose pending mask is zero without touching its stripe at all.
+	// Store-driven register commits, at every lane count. A register can
+	// need a commit only if its next-state or enable slot CHANGED since
+	// its last scan: next is written solely by change-detected kernel
+	// stores, and while an unchanged enable sits at 0 the commit stays
+	// blocked (a pending cur!=next under a 0 enable is re-examined the
+	// moment the enable's slot moves). Every changed store funnels
+	// through markConsumers, which sets the watching register's bit in
+	// regPend (bit r of word r/64); the commit phase visits only set bits.
 	//
 	// regOfSlot maps a slot to the register watching it (-1 almost
-	// everywhere). In the unlikely case two registers watch one slot
-	// (say, one register's next is another's enable) the extras are
-	// pinned always-scanned via regForce, which is what a scanned
-	// register's pending mask resets to (zero normally). watched[slot]
-	// folds "has consumers or feeds a register" into one load for the
-	// bulk stores' straight-store shortcut: straight stores skip change
-	// detection, which is only sound when nobody observes the change.
-	// Valid only while marking (activity on); otherwise stores don't
-	// change-detect and the commit scans every register. Reset and
-	// RestoreLane re-arm every pending mask, since restored state
-	// carries no store history. A one-lane engine builds none of them:
-	// stepL1 scans every register.
-	regOfSlot  []int32
-	regPending []uint64
-	regForce   []uint64
-	watched    []bool
+	// everywhere). Compile gives every register private next and enable
+	// slots, but should two registers watch one slot the extras get a
+	// bit in regForce, which is OR-ed back into regPend after every
+	// commit pass so they are always scanned. With activity off stores
+	// don't change-detect, so regForce holds every register. Reset and
+	// RestoreLane set every pending bit, since restored state carries no
+	// store history. watched[slot] (lanes > 1) folds "has consumers or
+	// feeds a register" into one load for the bulk stores' straight-store
+	// shortcut: straight stores skip change detection, which is only
+	// sound when nobody observes the change.
+	regOfSlot []int32
+	regPend   []uint64
+	regForce  []uint64
+	watched   []bool
 
 	// denseActs/denseDyn accumulate the activation and dynamic-instruction
 	// counts of all-lane (dense, lanes==nil) executions within one Step;
@@ -144,7 +149,6 @@ func NewBatch(p *codegen.Program, activity bool, lanes int) (*BatchEngine, error
 		lanes:    lanes,
 		state:    make([]uint64, p.StateWords()*lanes),
 		temps:    make([]uint64, maxTemps*lanes),
-		dirty:    make([]uint64, p.NumParts),
 		all:      ^uint64(0) >> (64 - uint(lanes)),
 		outputs:  map[string]codegen.PortSpec{},
 
@@ -162,9 +166,16 @@ func NewBatch(p *codegen.Program, activity bool, lanes int) (*BatchEngine, error
 		e.allLanes[l] = int32(l)
 	}
 	e.laneBuf = make([]int32, lanes)
-	if lanes > 1 {
-		e.buildRegWatch()
+	if lanes == 1 {
+		e.actDirty = make([]uint64, (len(p.Activations)+63)/64)
+		e.posOfPart = make([]int32, p.NumParts)
+		for i, pt := range p.PartOfActivation {
+			e.posOfPart[pt] = int32(i)
+		}
+	} else {
+		e.dirty = make([]uint64, p.NumParts)
 	}
+	e.buildRegWatch()
 	e.mems = make([][]uint64, len(p.Mems))
 	for i, m := range p.Mems {
 		e.mems[i] = make([]uint64, m.Depth*lanes)
@@ -178,21 +189,24 @@ func NewBatch(p *codegen.Program, activity bool, lanes int) (*BatchEngine, error
 
 // buildRegWatch wires each register's next-state and enable slots into
 // the store path's change notifications (see the regOfSlot field
-// comment) and precomputes the watched-slot map the bulk stores use to
-// decide whether change detection can be skipped.
+// comment) and, with several lanes, precomputes the watched-slot map the
+// bulk stores use to decide whether change detection can be skipped.
 func (e *BatchEngine) buildRegWatch() {
 	p := e.p
 	e.regOfSlot = make([]int32, p.NumSlots)
 	for i := range e.regOfSlot {
 		e.regOfSlot[i] = -1
 	}
-	e.regPending = make([]uint64, len(p.Regs))
-	e.regForce = make([]uint64, len(p.Regs))
+	e.regPend = make([]uint64, (len(p.Regs)+63)/64)
+	e.regForce = make([]uint64, len(e.regPend))
+	if !e.marking {
+		setBits(e.regForce, len(p.Regs))
+	}
 	watch := func(slot int32, ri int) {
 		if e.regOfSlot[slot] < 0 {
 			e.regOfSlot[slot] = int32(ri)
 		} else {
-			e.regForce[ri] = e.all // slot already taken: always scan
+			e.regForce[ri/64] |= 1 << uint(ri%64) // slot already taken: always scan
 		}
 	}
 	for i := range p.Regs {
@@ -202,9 +216,22 @@ func (e *BatchEngine) buildRegWatch() {
 			watch(r.En, i)
 		}
 	}
+	if e.lanes == 1 {
+		return
+	}
 	e.watched = make([]bool, p.NumSlots)
 	for s := range e.watched {
 		e.watched[s] = p.SlotConsOff[s] != p.SlotConsOff[s+1] || e.regOfSlot[s] >= 0
+	}
+}
+
+// setBits sets bits [0, n) of bm; higher bits stay as they are.
+func setBits(bm []uint64, n int) {
+	for w := 0; w < n/64; w++ {
+		bm[w] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		bm[n/64] |= 1<<uint(n%64) - 1
 	}
 }
 
@@ -250,11 +277,12 @@ func (e *BatchEngine) Reset() {
 	for i := range e.dirty {
 		e.dirty[i] = e.all
 	}
+	if e.actDirty != nil {
+		setBits(e.actDirty, len(e.p.Activations))
+	}
 	e.active = e.all
 	e.activeList = e.allLanes
-	for i := range e.regPending {
-		e.regPending[i] = e.all
-	}
+	setBits(e.regPend, len(e.p.Regs))
 	for l := 0; l < L; l++ {
 		e.Cycles[l], e.ActsExecuted[l], e.ActsSkipped[l], e.DynInstrs[l] = 0, 0, 0, 0
 	}
@@ -332,18 +360,39 @@ func (e *BatchEngine) Slot(lane int, s int32) uint64 {
 
 // markConsumers dirties every consumer of slot in every lane of
 // changedMask — one pass over the consumer list regardless of how many
-// lanes changed, where L scalar engines would walk it up to L times.
+// lanes changed, where L scalar engines would walk it up to L times —
+// and sets the pending bit of the register watching slot, if any.
 func (e *BatchEngine) markConsumers(slot int32, changedMask uint64) {
 	p := e.p
-	for _, pt := range p.SlotConsEdge[p.SlotConsOff[slot]:p.SlotConsOff[slot+1]] {
-		e.dirty[pt] |= changedMask
+	e.markParts(p.SlotConsEdge[p.SlotConsOff[slot]:p.SlotConsOff[slot+1]], changedMask)
+	if ri := e.regOfSlot[slot]; ri >= 0 {
+		e.regPend[ri>>6] |= 1 << uint(ri&63)
 	}
-	if e.regOfSlot == nil { // one lane: no register-watch tables
+}
+
+// markParts dirties the listed partitions in the lanes of mask: with one
+// lane, their schedule positions in the activation worklist.
+func (e *BatchEngine) markParts(parts []int32, mask uint64) {
+	if e.lanes == 1 {
+		for _, pt := range parts {
+			pos := e.posOfPart[pt]
+			e.actDirty[pos>>6] |= 1 << uint(pos&63)
+		}
 		return
 	}
-	if ri := e.regOfSlot[slot]; ri >= 0 {
-		e.regPending[ri] |= changedMask
+	for _, pt := range parts {
+		e.dirty[pt] |= mask
 	}
+}
+
+// dirtyBit locates partition pt's dirty flag in lane: the word holding
+// it and the flag's bit within that word.
+func (e *BatchEngine) dirtyBit(pt, lane int) (*uint64, uint64) {
+	if e.lanes == 1 {
+		pos := e.posOfPart[pt]
+		return &e.actDirty[pos>>6], 1 << uint(pos&63)
+	}
+	return &e.dirty[pt], 1 << uint(lane)
 }
 
 // Step evaluates one full cycle for every active lane: the scheduled
@@ -419,75 +468,8 @@ func (e *BatchEngine) Step() {
 		}
 	}
 
-	// Register commits: per register, gather the lanes whose value moved
-	// and wake consumers with one pass over the fan-out list. With every
-	// lane live (the common case) the scan is a bounds-check-free range
-	// loop over the contiguous lane stripe.
+	e.commitRegs()
 	st := e.state
-	allLive := active == e.all
-	marking := e.marking
-	for i := range p.Regs {
-		// Store-driven skip: no store changed this register's next or
-		// enable slot since its last scan, so the commit is a no-op (see
-		// the regPending field comment). Only valid while stores
-		// change-detect, i.e. with activity marking on.
-		if marking && e.regPending[i] == 0 {
-			continue
-		}
-		e.regPending[i] = e.regForce[i]
-		r := &p.Regs[i]
-		curBase, nextBase := int(r.Cur)*L, int(r.Next)*L
-		var changed uint64
-		if allLive {
-			cur := st[curBase : curBase+L]
-			next := st[nextBase : nextBase+L][:L]
-			// Branchless prepass: most registers do not move on most
-			// cycles, and a pure load-xor-or scan over the stripe is
-			// cheaper (and better predicted) than a compare-and-write
-			// loop. Only stripes that actually changed pay the real pass.
-			var diff uint64
-			for l := range cur {
-				diff |= cur[l] ^ next[l]
-			}
-			if diff == 0 {
-				continue
-			}
-			if r.En >= 0 {
-				en := st[int(r.En)*L : int(r.En)*L+L][:L]
-				for l := range cur {
-					if en[l] != 0 && cur[l] != next[l] {
-						cur[l] = next[l]
-						changed |= uint64(1) << uint(l)
-					}
-				}
-			} else {
-				for l := range cur {
-					if cur[l] != next[l] {
-						cur[l] = next[l]
-						changed |= uint64(1) << uint(l)
-					}
-				}
-			}
-		} else {
-			enBase := -1
-			if r.En >= 0 {
-				enBase = int(r.En) * L
-			}
-			for _, l := range live {
-				if enBase >= 0 && st[enBase+int(l)] == 0 {
-					continue
-				}
-				next := st[nextBase+int(l)]
-				if st[curBase+int(l)] != next {
-					st[curBase+int(l)] = next
-					changed |= uint64(1) << uint(l)
-				}
-			}
-		}
-		if changed != 0 {
-			e.markConsumers(r.Cur, changed)
-		}
-	}
 
 	// Memory commits in port order, per lane (addresses differ by lane).
 	for i := range p.WritePorts {
@@ -509,20 +491,111 @@ func (e *BatchEngine) Step() {
 			}
 		}
 		if changed != 0 {
-			for _, pt := range p.MemConsEdge[p.MemConsOff[wp.Mem]:p.MemConsOff[wp.Mem+1]] {
-				e.dirty[pt] |= changed
-			}
+			e.markParts(p.MemConsEdge[p.MemConsOff[wp.Mem]:p.MemConsOff[wp.Mem+1]], changed)
 		}
 	}
 }
 
+// commitRegs is the register commit phase at every lane count: it
+// visits the pending registers (see the regOfSlot field comment) in
+// index order. After each commit it re-reads the live pending word above
+// its cursor, so a commit that changes a slot a later register watches
+// is seen in this pass, while one an earlier register watches waits for
+// the next cycle — the order a scan of every register would give.
+func (e *BatchEngine) commitRegs() {
+	p := e.p
+	st := e.state
+	pend := e.regPend
+	for w := range pend {
+		for m := pend[w]; m != 0; {
+			b := uint(bits.TrailingZeros64(m))
+			pend[w] &^= 1 << b
+			r := &p.Regs[w<<6|int(b)]
+			if e.lanes > 1 {
+				e.commitRegLanes(r)
+			} else if (r.En < 0 || st[r.En] != 0) && st[r.Cur] != st[r.Next] {
+				st[r.Cur] = st[r.Next]
+				e.markConsumers(r.Cur, 1)
+			}
+			m = pend[w] &^ (2<<b - 1)
+		}
+	}
+	for w, f := range e.regForce {
+		pend[w] |= f
+	}
+}
+
+// commitRegLanes commits one register across the live lanes: it gathers
+// the lanes whose value moved and wakes consumers with one pass over the
+// fan-out list. With every lane live (the common case) the scan is a
+// bounds-check-free range loop over the contiguous lane stripe.
+func (e *BatchEngine) commitRegLanes(r *codegen.RegSpec) {
+	L := e.lanes
+	st := e.state
+	curBase, nextBase := int(r.Cur)*L, int(r.Next)*L
+	var changed uint64
+	if e.active == e.all {
+		cur := st[curBase : curBase+L]
+		next := st[nextBase : nextBase+L][:L]
+		// Branchless prepass: most registers do not move on most
+		// cycles, and a pure load-xor-or scan over the stripe is
+		// cheaper (and better predicted) than a compare-and-write
+		// loop. Only stripes that actually changed pay the real pass.
+		var diff uint64
+		for l := range cur {
+			diff |= cur[l] ^ next[l]
+		}
+		if diff == 0 {
+			return
+		}
+		if r.En >= 0 {
+			en := st[int(r.En)*L : int(r.En)*L+L][:L]
+			for l := range cur {
+				if en[l] != 0 && cur[l] != next[l] {
+					cur[l] = next[l]
+					changed |= uint64(1) << uint(l)
+				}
+			}
+		} else {
+			for l := range cur {
+				if cur[l] != next[l] {
+					cur[l] = next[l]
+					changed |= uint64(1) << uint(l)
+				}
+			}
+		}
+	} else {
+		enBase := -1
+		if r.En >= 0 {
+			enBase = int(r.En) * L
+		}
+		for _, l := range e.activeList {
+			if enBase >= 0 && st[enBase+int(l)] == 0 {
+				continue
+			}
+			next := st[nextBase+int(l)]
+			if st[curBase+int(l)] != next {
+				st[curBase+int(l)] = next
+				changed |= uint64(1) << uint(l)
+			}
+		}
+	}
+	if changed != 0 {
+		e.markConsumers(r.Cur, changed)
+	}
+}
+
 // stepL1 is Step for a one-lane batch, and so the scalar engine: state
-// and temps are in the scalar layout at L=1, kernels run through the
-// shared dispatch core, and the lane-0 bit of each dirty mask is the
-// partition's dirty flag. Counters advance per activation rather than by
-// the assume-skipped-then-reverse trick, so a deactivating lane can never
-// observe a transient. The Engine hooks cost one nil check per executed
-// activation and one per write-port commit.
+// and temps are in the scalar layout at L=1 and kernels run through the
+// shared dispatch core. It walks two worklists instead of scanning: the
+// dirty activations (actDirty) in schedule order, then the pending
+// registers (commitRegs). After each kernel it re-reads the live dirty
+// word above its cursor, so a mark on a later activation runs this cycle
+// while a mark on the current or an earlier one waits for the next —
+// what a scan testing every activation's flag in order would do. With
+// activity off every activation is marked up front. The Engine hooks
+// cost one nil check per executed activation and one per write-port
+// commit.
 func (e *BatchEngine) stepL1() {
 	p := e.p
 	st := e.state
@@ -530,32 +603,31 @@ func (e *BatchEngine) stepL1() {
 	if e.onMem == nil {
 		onMem = nil
 	}
-	for i := range p.Activations {
-		act := &p.Activations[i]
-		if e.activity && e.dirty[act.Part]&1 == 0 {
-			e.ActsSkipped[0]++
-			continue
-		}
-		e.dirty[act.Part] &^= 1
-		k := p.Kernels[act.Kernel]
-		execKernel(p, k, act, st, e.temps, e.mems, e.markL1, onMem)
-		e.ActsExecuted[0]++
-		e.DynInstrs[0] += int64(k.DynInstrs)
-		if e.onAct != nil {
-			e.onAct(int32(i))
+	dirty := e.actDirty
+	if !e.activity {
+		setBits(dirty, len(p.Activations))
+	}
+	var executed, dyn int64
+	for w := range dirty {
+		for m := dirty[w]; m != 0; {
+			b := uint(bits.TrailingZeros64(m))
+			dirty[w] &^= 1 << b
+			i := w<<6 | int(b)
+			act := &p.Activations[i]
+			k := p.Kernels[act.Kernel]
+			execKernel(p, k, act, st, e.temps, e.mems, e.markL1, onMem)
+			executed++
+			dyn += int64(k.DynInstrs)
+			if e.onAct != nil {
+				e.onAct(int32(i))
+			}
+			m = dirty[w] &^ (2<<b - 1)
 		}
 	}
-	for i := range p.Regs {
-		r := &p.Regs[i]
-		if r.En >= 0 && st[r.En] == 0 {
-			continue
-		}
-		next := st[r.Next]
-		if st[r.Cur] != next {
-			st[r.Cur] = next
-			e.markConsumers(r.Cur, 1)
-		}
-	}
+	e.ActsExecuted[0] += executed
+	e.ActsSkipped[0] += int64(len(p.Activations)) - executed
+	e.DynInstrs[0] += dyn
+	e.commitRegs()
 	for i := range p.WritePorts {
 		wp := &p.WritePorts[i]
 		if st[wp.En] == 0 {
@@ -569,9 +641,7 @@ func (e *BatchEngine) stepL1() {
 		}
 		if m[addr] != data {
 			m[addr] = data
-			for _, pt := range p.MemConsEdge[p.MemConsOff[wp.Mem]:p.MemConsOff[wp.Mem+1]] {
-				e.dirty[pt] |= 1
-			}
+			e.markParts(p.MemConsEdge[p.MemConsOff[wp.Mem]:p.MemConsOff[wp.Mem+1]], 1)
 		}
 	}
 	e.Cycles[0]++

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Snapshot is a saved simulation state: every state word, every memory,
 // the cycle counter, and (for exact resume) the per-partition activity
@@ -66,7 +69,7 @@ func (e *BatchEngine) SaveLane(lane int) (*Snapshot, error) {
 		State:        make([]uint64, len(e.state)/L),
 		Mems:         make([][]uint64, len(e.mems)),
 		Cycles:       e.Cycles[lane],
-		Dirty:        make([]bool, len(e.dirty)),
+		Dirty:        make([]bool, e.p.NumParts),
 		ActsExecuted: e.ActsExecuted[lane],
 		ActsSkipped:  e.ActsSkipped[lane],
 		DynInstrs:    e.DynInstrs[lane],
@@ -81,6 +84,15 @@ func (e *BatchEngine) SaveLane(lane int) (*Snapshot, error) {
 			lm[a] = m[a*L+lane]
 		}
 		s.Mems[i] = lm
+	}
+	if e.lanes == 1 {
+		// Dirty starts all false: visit only the set worklist bits.
+		for w, m := range e.actDirty {
+			for ; m != 0; m &= m - 1 {
+				s.Dirty[e.p.PartOfActivation[w<<6|bits.TrailingZeros64(m)]] = true
+			}
+		}
+		return s, nil
 	}
 	bit := uint64(1) << uint(lane)
 	for p := range e.dirty {
@@ -120,28 +132,20 @@ func (e *BatchEngine) RestoreLane(lane int, s *Snapshot) error {
 			m[a*L+lane] = v
 		}
 	}
-	bit := uint64(1) << uint(lane)
-	if len(s.Dirty) == len(e.dirty) {
-		for p, d := range s.Dirty {
-			if d {
-				e.dirty[p] |= bit
-			} else {
-				e.dirty[p] &^= bit
-			}
-		}
-	} else {
-		for p := range e.dirty {
-			e.dirty[p] |= bit
+	restored := len(s.Dirty) == e.p.NumParts
+	for p := 0; p < e.p.NumParts; p++ {
+		if w, bit := e.dirtyBit(p, lane); !restored || s.Dirty[p] {
+			*w |= bit
+		} else {
+			*w &^= bit
 		}
 	}
 	e.Cycles[lane] = s.Cycles
 	e.ActsExecuted[lane] = s.ActsExecuted
 	e.ActsSkipped[lane] = s.ActsSkipped
 	e.DynInstrs[lane] = s.DynInstrs
-	// Restored state carries no store history: re-arm every register's
-	// pending mask so the next commit phase scans them all once.
-	for i := range e.regPending {
-		e.regPending[i] = e.all
-	}
+	// Restored state carries no store history: set every register's
+	// pending bit so the next commit phase scans them all once.
+	setBits(e.regPend, len(e.p.Regs))
 	return nil
 }

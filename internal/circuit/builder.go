@@ -61,6 +61,12 @@ func (b *Builder) add(op Op, width uint8, name string, val uint64, mem int32, ar
 	}
 	c := b.c
 	id := NodeID(len(c.Ops))
+	if len(c.Ops) == cap(c.Ops) {
+		// Grow all seven per-node slices in one doubling step, so the
+		// appends below never re-copy them one by one at Go's own growth
+		// steps. Finish trims them to length.
+		c.resize(max(2*cap(c.Ops), 1024))
+	}
 	c.Ops = append(c.Ops, op)
 	c.Width = append(c.Width, width)
 	c.Args = append(c.Args, args)
@@ -69,6 +75,27 @@ func (b *Builder) add(op Op, width uint8, name string, val uint64, mem int32, ar
 	c.Inst = append(c.Inst, b.curInst)
 	c.MemOf = append(c.MemOf, mem)
 	return id
+}
+
+// resize gives each per-node slice capacity n, keeping its length.
+func (c *Circuit) resize(n int) {
+	c.Ops = resized(c.Ops, n)
+	c.Width = resized(c.Width, n)
+	c.Args = resized(c.Args, n)
+	c.Vals = resized(c.Vals, n)
+	c.Names = resized(c.Names, n)
+	c.Inst = resized(c.Inst, n)
+	c.MemOf = resized(c.MemOf, n)
+}
+
+// resized copies s into a new slice of the same length and capacity n.
+func resized[E any](s []E, n int) []E {
+	if cap(s) == n {
+		return s
+	}
+	r := make([]E, len(s), n)
+	copy(r, s)
+	return r
 }
 
 // Const adds a literal of the given width.
@@ -208,6 +235,7 @@ func (b *Builder) Finish() (*Circuit, error) {
 	if b.curInst != 0 {
 		return nil, fmt.Errorf("circuit %q: Finish inside instance %q", b.c.Name, b.c.Instances[b.curInst].Name)
 	}
+	b.c.resize(len(b.c.Ops)) // drop the growth slack
 	if err := b.c.Validate(); err != nil {
 		return nil, err
 	}

@@ -64,3 +64,34 @@ func TestStructuralHashFIRRTL(t *testing.T) {
 		t.Fatalf("gen.Build and firrtl.Compile disagree: %s vs %s", got, c1.StructuralHash())
 	}
 }
+
+// TestBuilderLeavesNoSlack: Finish trims every per-node slice to its
+// length, and the way the builder grows them does not change the circuit:
+// each family's hash is pinned.
+func TestBuilderLeavesNoSlack(t *testing.T) {
+	want := map[gen.Family]string{
+		gen.Rocket:    "e7816f245a9208957320fbc9ff6adee885782e8e0bb73d069a023dc24285cc4f",
+		gen.SmallBoom: "b5be77fde007a88d93fd885eeffaeb93a07f2c39c0095e505b9425a530ef55f2",
+		gen.LargeBoom: "0b51b90e59dc2bc3a14ad8ff68cdbf6f24928a67cf625ec7013be9258416e16c",
+		gen.MegaBoom:  "4362d37efca65b94267500b47414f95097d805ff3f6e4284eae2baded89a51c9",
+	}
+	for _, f := range gen.Families {
+		c := gen.MustBuild(gen.Config(f, 2, 0.1))
+		for name, lc := range map[string][2]int{
+			"Ops":   {len(c.Ops), cap(c.Ops)},
+			"Width": {len(c.Width), cap(c.Width)},
+			"Args":  {len(c.Args), cap(c.Args)},
+			"Vals":  {len(c.Vals), cap(c.Vals)},
+			"Names": {len(c.Names), cap(c.Names)},
+			"Inst":  {len(c.Inst), cap(c.Inst)},
+			"MemOf": {len(c.MemOf), cap(c.MemOf)},
+		} {
+			if lc[0] != lc[1] {
+				t.Errorf("%s: %s has len %d, cap %d", f, name, lc[0], lc[1])
+			}
+		}
+		if got := c.StructuralHash().String(); got != want[f] {
+			t.Errorf("%s-2C@0.1: hash %s, want %s", f, got, want[f])
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"fmt"
 	"hash/fnv"
 
 	"dedupsim/internal/circuit"
@@ -37,8 +36,7 @@ func (o Options) withDefaults() Options {
 // partitioning and schedule into an executable Program.
 func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Options) (*Program, error) {
 	opt = opt.withDefaults()
-	cc := &compiler{c: c, dr: dr, packing: !opt.DisablePacking}
-	cc.assignSlots()
+	cc := newCompiler(c, dr, opt)
 
 	p := &Program{
 		NumSlots:      cc.numSlots,
@@ -56,15 +54,11 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 		PackedWords:   cc.packedWords,
 	}
 
-	// Compile every partition in external (position-independent) form.
+	// Lower every partition in external (position-independent) form.
 	numParts := dr.Part.NumParts
-	units := make([]*unit, numParts)
-	for pid := 0; pid < numParts; pid++ {
-		u, err := cc.compilePartition(dr.Members[pid], int32(pid))
-		if err != nil {
-			return nil, err
-		}
-		units[pid] = u
+	units, err := cc.lowerUnits()
+	if err != nil {
+		return nil, err
 	}
 
 	// Decide sharing: coarse classes first, then optional fine-grained.
@@ -105,20 +99,9 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 		return k
 	}
 
-	// Coarse-grained class kernels.
-	byClass := map[int32][]int32{}
-	for pid, cl := range dr.Class {
-		if cl >= 0 {
-			byClass[cl] = append(byClass[cl], int32(pid))
-		}
-	}
-	for cl, parts := range byClass {
+	// Coarse-grained class kernels, numbered in ascending class ID.
+	for _, parts := range cc.classes {
 		tmpl := units[parts[0]]
-		for _, pid := range parts[1:] {
-			if !sameCode(tmpl.code, units[pid].code) {
-				return nil, fmt.Errorf("codegen: class %d partitions disagree structurally", cl)
-			}
-		}
 		k := addKernel(tmpl.code, tmpl.numTemps, true, len(tmpl.ext), len(tmpl.mems))
 		for _, pid := range parts {
 			kernelOf[pid] = k.ID
@@ -127,7 +110,9 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 
 	// Fine-grained sharing for small unshared kernels (Verilator mode).
 	if opt.FineGrainDedup {
+		// Groups are numbered by their first partition.
 		byHash := map[uint64][]int32{}
+		var hashes []uint64
 		for pid := 0; pid < numParts; pid++ {
 			if kernelOf[pid] >= 0 {
 				continue
@@ -137,9 +122,13 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 				continue
 			}
 			h := hashCode(u.code)
+			if _, seen := byHash[h]; !seen {
+				hashes = append(hashes, h)
+			}
 			byHash[h] = append(byHash[h], int32(pid))
 		}
-		for _, parts := range byHash {
+		for _, h := range hashes {
+			parts := byHash[h]
 			if len(parts) < 2 {
 				continue
 			}
@@ -230,6 +219,13 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 	return p, nil
 }
 
+// newCompiler assigns the state slots every partition is lowered against.
+func newCompiler(c *circuit.Circuit, dr *dedup.Result, opt Options) *compiler {
+	cc := &compiler{c: c, dr: dr, classes: classParts(dr), packing: !opt.DisablePacking}
+	cc.assignSlots()
+	return cc
+}
+
 // flattenCSR packs per-index adjacency lists into offsets + one flat edge
 // array, returning the old list-of-lists shape as views into the flat
 // storage (len(lists)+1 offsets; views[i] aliases edges[off[i]:off[i+1]]).
@@ -250,11 +246,11 @@ func flattenCSR(lists [][]int32) (off, edges []int32, views [][]int32) {
 	return off, edges, views
 }
 
+// appendUnique appends v unless it is already present. Callers append
+// in ascending v order, so a repeat can only be the last entry.
 func appendUnique(s []int32, v int32) []int32 {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
+	if n := len(s); n > 0 && s[n-1] == v {
+		return s
 	}
 	return append(s, v)
 }

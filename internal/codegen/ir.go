@@ -222,6 +222,10 @@ type PortSpec struct {
 // it hands the same *Program to every job whose circuit hashes alike.
 // Code that extends Program or the engines must preserve the split —
 // per-run data belongs on the engine.
+//
+// Compile is deterministic: class kernels come first in ascending class
+// ID, then fine-grained groups by first partition, then direct kernels
+// in partition order.
 type Program struct {
 	Kernels []*Kernel
 	// Activations holds one activation per partition, in schedule order.

@@ -12,6 +12,9 @@ import (
 type compiler struct {
 	c  *circuit.Circuit
 	dr *dedup.Result
+	// classes lists each shared class's partitions by class ID (see
+	// classParts).
+	classes [][]int32
 
 	numSlots int
 	// slotOf is the value slot per node (-1 = temp-only).
@@ -208,13 +211,7 @@ func (cc *compiler) packEligible(cross []bool) []bool {
 			parent[ra] = rb
 		}
 	}
-	byClass := map[int32][]int32{}
-	for pid, cl := range cc.dr.Class {
-		if cl >= 0 {
-			byClass[cl] = append(byClass[cl], int32(pid))
-		}
-	}
-	for _, parts := range byClass {
+	for _, parts := range cc.classes {
 		tmpl := cc.dr.Members[parts[0]]
 		for _, pid := range parts[1:] {
 			m := cc.dr.Members[pid]
@@ -272,6 +269,162 @@ func (cc *compiler) resolveRef(r slotRef) int32 {
 	panic("codegen: unknown ref kind")
 }
 
+// isPacked reports whether node v's value slot is a packed 1-bit slot.
+func (cc *compiler) isPacked(v graph.NodeID) bool {
+	return cc.packedNode != nil && cc.packedNode[v]
+}
+
+// classParts lists each shared class's partitions in ascending partition
+// ID, indexed by class ID (dedup numbers classes densely, so none is
+// empty). A class's first partition is its template.
+func classParts(dr *dedup.Result) [][]int32 {
+	classes := make([][]int32, dr.NumClasses)
+	for pid, cl := range dr.Class {
+		if cl >= 0 {
+			classes[cl] = append(classes[cl], int32(pid))
+		}
+	}
+	return classes
+}
+
+// lowerUnits lowers every direct partition and every class template, and
+// derives each other member of a class (a twin) from its template: the
+// twin shares the template's code and gets its tables by positional
+// correspondence. A twin that fails the correspondence check is an
+// error, because its code would differ from the template's.
+func (cc *compiler) lowerUnits() ([]*unit, error) {
+	dr := cc.dr
+	units := make([]*unit, dr.Part.NumParts)
+	for pid := range units {
+		if cl := dr.Class[pid]; cl >= 0 && cc.classes[cl][0] != int32(pid) {
+			continue
+		}
+		u, err := cc.compilePartition(dr.Members[pid], int32(pid))
+		if err != nil {
+			return nil, err
+		}
+		units[pid] = u
+	}
+	nodes, mems := newBimap(cc.c.NumNodes()), newBimap(len(cc.c.Mems))
+	for cl, parts := range cc.classes {
+		for _, pid := range parts[1:] {
+			u := cc.deriveTwin(units[parts[0]], dr.Members[parts[0]], dr.Members[pid], &nodes, &mems)
+			if u == nil {
+				return nil, fmt.Errorf("codegen: class %d partitions disagree structurally", cl)
+			}
+			units[pid] = u
+		}
+	}
+	return units, nil
+}
+
+// bimap is a one-to-one map from a template's nodes (or memories) to a
+// twin's, -1 where unpaired. reset clears only the pairs made since the
+// last reset, so one bimap serves every twin.
+type bimap struct{ fwd, rev, keys []int32 }
+
+func newBimap(n int) bimap {
+	b := bimap{fwd: make([]int32, n), rev: make([]int32, n)}
+	for i := range b.fwd {
+		b.fwd[i], b.rev[i] = -1, -1
+	}
+	return b
+}
+
+// pair records t -> w, reporting false when either side is already
+// paired with something else.
+func (b *bimap) pair(t, w int32) bool {
+	if b.fwd[t] == w {
+		return true
+	}
+	if b.fwd[t] >= 0 || b.rev[w] >= 0 {
+		return false
+	}
+	b.fwd[t], b.rev[w] = w, t
+	b.keys = append(b.keys, t)
+	return true
+}
+
+func (b *bimap) reset() {
+	for _, t := range b.keys {
+		b.rev[b.fwd[t]], b.fwd[t] = -1, -1
+	}
+	b.keys = b.keys[:0]
+}
+
+// deriveTwin builds the unit compilePartition would produce for the
+// members wm from tmpl, the unit lowered for the template members tm,
+// pairing nodes in nodes and read memories in mems. Member j of the twin
+// corresponds to member j of the template, and argument k of a member to
+// argument k of its counterpart. It checks
+// every input lowering reads: op, constant and arity of members; width,
+// slot-ness and packing of members and arguments; a one-to-one node map
+// (two template nodes sharing one twin node would merge ext entries);
+// and a one-to-one map of read memories. It returns nil on a mismatch.
+func (cc *compiler) deriveTwin(tmpl *unit, tm, wm []graph.NodeID, nodes, mems *bimap) *unit {
+	defer nodes.reset()
+	defer mems.reset()
+	c := cc.c
+	if len(tm) != len(wm) {
+		return nil
+	}
+	same := func(t, w graph.NodeID) bool {
+		return nodes.pair(t, w) && c.Width[t] == c.Width[w] &&
+			(cc.slotOf[t] >= 0) == (cc.slotOf[w] >= 0) && cc.isPacked(t) == cc.isPacked(w)
+	}
+	for j, t := range tm {
+		w := wm[j]
+		at, aw := c.Args[t], c.Args[w]
+		if c.Ops[t] != c.Ops[w] || c.Vals[t] != c.Vals[w] || len(at) != len(aw) || !same(t, w) {
+			return nil
+		}
+		for k := range at {
+			if !same(at[k], aw[k]) {
+				return nil
+			}
+		}
+		if c.Ops[t] == circuit.OpMemRead && !mems.pair(c.MemOf[t], c.MemOf[w]) {
+			return nil
+		}
+	}
+
+	refs := func(rs []slotRef) []slotRef {
+		return mapped(rs, func(r slotRef) slotRef { return slotRef{node: nodes.fwd[r.node], kind: r.kind} })
+	}
+	memIDs := func(ms []int32) []int32 {
+		return mapped(ms, func(gm int32) int32 { return mems.fwd[gm] })
+	}
+	u := &unit{
+		code:     tmpl.code,
+		numTemps: tmpl.numTemps,
+		ext:      refs(tmpl.ext),
+		mems:     memIDs(tmpl.mems),
+		reads:    refs(tmpl.reads),
+		writes:   refs(tmpl.writes),
+		readMems: memIDs(tmpl.readMems),
+	}
+	if u.ext != nil {
+		u.extSlots = make([]int32, len(u.ext))
+		for i, r := range u.ext {
+			u.extSlots[i] = cc.resolveRef(r)
+		}
+	}
+	return u
+}
+
+// mapped applies f to every element of s; nil stays nil, as in units
+// compilePartition builds.
+func mapped[T any](s []T, f func(T) T) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(s))
+	for i, x := range s {
+		out[i] = f(x)
+	}
+	return out
+}
+
 // compilePartition lowers one partition into external (position-
 // independent) form. Members must be in canonical order: partitions of
 // one class compile to byte-identical code, differing only in the
@@ -318,7 +471,7 @@ func (cc *compiler) compilePartition(members []graph.NodeID, pid int32) (*unit, 
 		}
 		t := newTemp()
 		op := KLoadExt
-		if r.kind == refValue && cc.packedNode != nil && cc.packedNode[r.node] {
+		if r.kind == refValue && cc.isPacked(r.node) {
 			op = KLoadBitExt
 		}
 		u.code = append(u.code, Instr{Op: op, Dst: t, A: extOf(r), Width: width})
@@ -349,7 +502,7 @@ func (cc *compiler) compilePartition(members []graph.NodeID, pid int32) (*unit, 
 
 	storeRef := func(r slotRef, t int32, width uint8) {
 		op := KStoreExt
-		if r.kind == refValue && cc.packedNode != nil && cc.packedNode[r.node] {
+		if r.kind == refValue && cc.isPacked(r.node) {
 			op = KStoreBitExt
 		}
 		u.code = append(u.code, Instr{Op: op, Dst: extOf(r), A: t, Width: width})

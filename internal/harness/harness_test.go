@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,6 +28,26 @@ func TestCompileVariantAll(t *testing.T) {
 	}
 	if _, err := CompileVariant(c, Commercial, partition.Options{}); err == nil {
 		t.Fatal("Commercial must not compile to a program")
+	}
+}
+
+// TestCompileVariantDeterministic: compiling one design twice in one
+// process must give equal Programs. Kernel order is code layout, so the
+// modelled cache behaviour depends on it.
+func TestCompileVariantDeterministic(t *testing.T) {
+	c := gen.MustBuild(gen.Config(gen.SmallBoom, 4, 0.3))
+	for _, v := range []Variant{Dedup, NL, Verilator} {
+		a, err := CompileVariant(c, v, partition.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		b, err := CompileVariant(c, v, partition.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if !reflect.DeepEqual(a.Program, b.Program) {
+			t.Fatalf("%s: two compiles gave different Programs", v)
+		}
 	}
 }
 

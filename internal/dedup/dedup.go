@@ -22,7 +22,6 @@ package dedup
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -49,25 +48,13 @@ type Choice struct {
 // size) among modules instantiated at least twice, mirroring the paper's
 // selection rule (Section 4). It returns nil when no module repeats.
 func SelectModule(c *circuit.Circuit) *Choice {
-	byInst := c.NodesByDeepInstance()
-	subtrees := c.InstanceSubtrees()
-
-	roots := map[string][]int32{}
-	for i := 1; i < len(c.Instances); i++ {
-		m := c.Instances[i].Module
-		roots[m] = append(roots[m], int32(i))
-	}
-
+	size := subtreeSizes(c)
 	var best *Choice
-	for module, rs := range roots {
+	for module, rs := range rootsByModule(c) {
 		if len(rs) < 2 {
 			continue
 		}
-		size := 0
-		for _, inst := range subtrees[rs[0]] {
-			size += len(byInst[inst])
-		}
-		benefit := len(rs) * size
+		benefit := len(rs) * size[rs[0]]
 		if best == nil || benefit > best.Benefit ||
 			(benefit == best.Benefit && module < best.Module) {
 			best = &Choice{Module: module, Roots: rs, Benefit: benefit}
@@ -76,14 +63,7 @@ func SelectModule(c *circuit.Circuit) *Choice {
 	if best == nil {
 		return nil
 	}
-	for _, r := range best.Roots {
-		var set []graph.NodeID
-		for _, inst := range subtrees[r] {
-			set = append(set, byInst[inst]...)
-		}
-		sortNodeIDs(set)
-		best.NodeSets = append(best.NodeSets, set)
-	}
+	best.NodeSets = nodeSets(c, best.Roots, size)
 	return best
 }
 
@@ -92,72 +72,97 @@ func SelectModule(c *circuit.Circuit) *Choice {
 // subtree of a higher-benefit choice (nested replication, Figure 6c, is
 // not deduplicated).
 func SelectModules(c *circuit.Circuit) []*Choice {
-	byInst := c.NodesByDeepInstance()
+	size := subtreeSizes(c)
 	subtrees := c.InstanceSubtrees()
-
-	roots := map[string][]int32{}
-	for i := 1; i < len(c.Instances); i++ {
-		m := c.Instances[i].Module
-		roots[m] = append(roots[m], int32(i))
-	}
-	type cand struct {
-		module  string
-		rs      []int32
-		benefit int
-	}
-	var cands []cand
-	for module, rs := range roots {
-		if len(rs) < 2 {
-			continue
+	var cands []*Choice
+	for module, rs := range rootsByModule(c) {
+		if len(rs) >= 2 {
+			cands = append(cands, &Choice{Module: module, Roots: rs, Benefit: len(rs) * size[rs[0]]})
 		}
-		size := 0
-		for _, inst := range subtrees[rs[0]] {
-			size += len(byInst[inst])
-		}
-		cands = append(cands, cand{module, rs, len(rs) * size})
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].benefit != cands[j].benefit {
-			return cands[i].benefit > cands[j].benefit
+		if cands[i].Benefit != cands[j].Benefit {
+			return cands[i].Benefit > cands[j].Benefit
 		}
-		return cands[i].module < cands[j].module
+		return cands[i].Module < cands[j].Module
 	})
 
 	claimed := make([]bool, len(c.Instances))
 	var out []*Choice
-	for _, cd := range cands {
+	var roots []int32
+	for _, ch := range cands {
 		overlap := false
-		for _, r := range cd.rs {
+		for _, r := range ch.Roots {
 			for _, inst := range subtrees[r] {
-				if claimed[inst] {
-					overlap = true
-					break
-				}
-			}
-			if overlap {
-				break
+				overlap = overlap || claimed[inst]
 			}
 		}
 		if overlap {
 			continue
 		}
-		ch := &Choice{Module: cd.module, Roots: cd.rs, Benefit: cd.benefit}
-		for _, r := range cd.rs {
-			var set []graph.NodeID
+		for _, r := range ch.Roots {
 			for _, inst := range subtrees[r] {
 				claimed[inst] = true
-				set = append(set, byInst[inst]...)
 			}
-			sortNodeIDs(set)
-			ch.NodeSets = append(ch.NodeSets, set)
 		}
 		out = append(out, ch)
+		roots = append(roots, ch.Roots...)
+	}
+	sets := nodeSets(c, roots, size)
+	for _, ch := range out {
+		ch.NodeSets, sets = sets[:len(ch.Roots)], sets[len(ch.Roots):]
 	}
 	return out
 }
 
-func sortNodeIDs(s []graph.NodeID) {
-	slices.Sort(s)
+// rootsByModule lists each module's instances (excluding the top) in
+// instance-tree order.
+func rootsByModule(c *circuit.Circuit) map[string][]int32 {
+	roots := map[string][]int32{}
+	for i := 1; i < len(c.Instances); i++ {
+		m := c.Instances[i].Module
+		roots[m] = append(roots[m], int32(i))
+	}
+	return roots
+}
+
+// subtreeSizes returns the node count of every instance's subtree: a
+// per-instance count array accumulated bottom-up (instances are ordered
+// parent before child).
+func subtreeSizes(c *circuit.Circuit) []int {
+	size := make([]int, len(c.Instances))
+	for _, i := range c.Inst {
+		size[i]++
+	}
+	for i := len(c.Instances) - 1; i > 0; i-- {
+		size[c.Instances[i].Parent] += size[i]
+	}
+	return size
+}
+
+// nodeSets returns the nodes of each root's subtree in ascending ID order,
+// filled by one ascending scan of c.Inst. The roots' subtrees must be
+// disjoint.
+func nodeSets(c *circuit.Circuit, roots []int32, size []int) [][]graph.NodeID {
+	owner := filled(len(c.Instances), -1) // index into roots, or -1
+	for k, r := range roots {
+		owner[r] = int32(k)
+	}
+	for i := 1; i < len(c.Instances); i++ {
+		if owner[i] == -1 {
+			owner[i] = owner[c.Instances[i].Parent]
+		}
+	}
+	sets := make([][]graph.NodeID, len(roots))
+	for k, r := range roots {
+		sets[k] = make([]graph.NodeID, 0, size[r])
+	}
+	for v, i := range c.Inst {
+		if k := owner[i]; k >= 0 {
+			sets[k] = append(sets[k], graph.NodeID(v))
+		}
+	}
+	return sets
 }
 
 // VerifyIsomorphism checks that every instance in the choice is
@@ -171,36 +176,53 @@ func VerifyIsomorphism(c *circuit.Circuit, ch *Choice) []int {
 	if len(ch.Roots) == 0 {
 		return nil
 	}
-	tmpl := ch.NodeSets[0]
-	// localIdx maps a template node to its position k, and -1 otherwise.
-	localIdx := make([]int32, c.NumNodes())
-	for i := range localIdx {
-		localIdx[i] = -1
+	vf := &verifier{
+		c:        c,
+		tmpl:     ch.NodeSets[0],
+		localIdx: filled(c.NumNodes(), -1),
+		pos:      filled(c.NumNodes(), -1),
+		memMap:   make([]int32, len(c.Mems)),
+		memRev:   make([]int32, len(c.Mems)),
 	}
-	for k, v := range tmpl {
-		localIdx[v] = int32(k)
+	for k, v := range vf.tmpl {
+		vf.localIdx[v] = int32(k)
 	}
-
 	ok := []int{0}
 	for i := 1; i < len(ch.NodeSets); i++ {
-		if verifyOne(c, tmpl, localIdx, ch.NodeSets[i]) {
+		if vf.verify(ch.NodeSets[i]) {
 			ok = append(ok, i)
 		}
 	}
 	return ok
 }
 
-func verifyOne(c *circuit.Circuit, tmpl []graph.NodeID, localIdx []int32, set []graph.NodeID) bool {
-	if len(set) != len(tmpl) {
+// verifier holds the dense scratch state of VerifyIsomorphism, reused
+// across instances: localIdx[v] / pos[v] is v's position in the template /
+// the instance under test (-1 outside), and memMap / memRev pair template
+// and instance memories (-1 unpaired).
+type verifier struct {
+	c              *circuit.Circuit
+	tmpl           []graph.NodeID
+	localIdx, pos  []int32
+	memMap, memRev []int32
+}
+
+func (vf *verifier) verify(set []graph.NodeID) bool {
+	if len(set) != len(vf.tmpl) {
 		return false
 	}
-	inSet := make(map[graph.NodeID]int32, len(set))
 	for k, v := range set {
-		inSet[v] = int32(k)
+		vf.pos[v] = int32(k)
 	}
-	memMap := map[int32]int32{} // template memory -> instance memory
-	memRev := map[int32]int32{}
-	for k, tv := range tmpl {
+	defer func() {
+		for _, v := range set {
+			vf.pos[v] = -1
+		}
+	}()
+	fill(vf.memMap, -1)
+	fill(vf.memRev, -1)
+	c := vf.c
+	for k, tv := range vf.tmpl {
 		iv := set[k]
 		if c.Ops[tv] != c.Ops[iv] || c.Width[tv] != c.Width[iv] || c.Vals[tv] != c.Vals[iv] {
 			return false
@@ -210,14 +232,13 @@ func verifyOne(c *circuit.Circuit, tmpl []graph.NodeID, localIdx []int32, set []
 			return false
 		}
 		for j := range ta {
-			tk := localIdx[ta[j]]
-			ik, internal := inSet[ia[j]]
+			tk, ik := vf.localIdx[ta[j]], vf.pos[ia[j]]
 			if tk >= 0 {
 				// Internal argument: must map to the corresponding node.
-				if !internal || ik != tk {
+				if ik != tk {
 					return false
 				}
-			} else if internal {
+			} else if ik >= 0 {
 				// Template reads externally but the instance internally.
 				return false
 			}
@@ -227,17 +248,29 @@ func verifyOne(c *circuit.Circuit, tmpl []graph.NodeID, localIdx []int32, set []
 			if im < 0 {
 				return false
 			}
-			if prev, seen := memMap[tm]; seen && prev != im {
+			if prev := vf.memMap[tm]; prev >= 0 && prev != im {
 				return false
 			}
-			if prev, seen := memRev[im]; seen && prev != tm {
+			if prev := vf.memRev[im]; prev >= 0 && prev != tm {
 				return false
 			}
-			memMap[tm] = im
-			memRev[im] = tm
+			vf.memMap[tm] = im
+			vf.memRev[im] = tm
 		}
 	}
 	return true
+}
+
+func filled(n int, x int32) []int32 {
+	s := make([]int32, n)
+	fill(s, x)
+	return s
+}
+
+func fill(s []int32, x int32) {
+	for i := range s {
+		s[i] = x
+	}
 }
 
 // Options tunes the deduplication flow.
@@ -291,12 +324,17 @@ type Stats struct {
 	DissolvedForCycles int
 }
 
-// Timing breaks down where partitioning time went (Fig. 11).
+// Timing breaks down where partitioning time went (Fig. 11). The stage
+// fields cover all of Deduplicate but a few bookkeeping loops, so their
+// sum stays just under Total.
 type Timing struct {
+	Select            time.Duration // module selection and node sets
+	Verify            time.Duration // isomorphism check
 	PartitionInstance time.Duration // Fig. 7a
 	Dissolve          time.Duration // Fig. 7b: boundary + cycle removal
 	Stamp             time.Duration // Fig. 7c
 	Remainder         time.Duration // Fig. 7d
+	Classes           time.Duration // class and member construction
 	Total             time.Duration
 }
 
@@ -335,9 +373,11 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 	} else if ch := SelectModule(c); ch != nil {
 		choices = []*Choice{ch}
 	}
+	timing := Timing{Select: time.Since(start)}
 
 	// Verify each choice's instances; drop what cannot be proven
 	// isomorphic (we never miscompile a near-duplicate).
+	vStart := time.Now()
 	var plans []*plan
 	for _, ch := range choices {
 		verified := VerifyIsomorphism(c, ch)
@@ -350,16 +390,19 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 		}
 		plans = append(plans, pl)
 	}
+	timing.Verify = time.Since(vStart)
 	if len(plans) == 0 {
 		// Nothing to deduplicate: fall back to the baseline partitioner.
+		rStart := time.Now()
 		res, err := partition.Partition(g, opt.Partition)
 		if err != nil {
 			return nil, err
 		}
+		timing.Remainder = time.Since(rStart)
 		r := newUnsharedResult(res)
 		r.Stats.TotalNodes = c.NumNodes()
+		r.Timing = timing
 		r.Timing.Total = time.Since(start)
-		r.Timing.Remainder = r.Timing.Total
 		return r, nil
 	}
 
@@ -374,21 +417,6 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 		stats.IdealReduction += float64((len(pl.sets)-1)*len(pl.sets[0])) / float64(c.NumNodes())
 	}
 
-	// owner[v] identifies the (plan, instance) that owns node v, packed as
-	// planIdx<<16 | instIdx, or -1. Plans claim disjoint node sets.
-	owner := make([]int32, c.NumNodes())
-	for i := range owner {
-		owner[i] = -1
-	}
-	for pi, pl := range plans {
-		for i, set := range pl.sets {
-			tag := int32(pi)<<16 | int32(i)
-			for _, v := range set {
-				owner[v] = tag
-			}
-		}
-	}
-
 	// Fig. 7a: partition the first verified instance of each plan as its
 	// template.
 	tStart := time.Now()
@@ -400,13 +428,24 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 		}
 		pl.tRes = tRes
 	}
-	timing := Timing{PartitionInstance: time.Since(tStart)}
+	timing.PartitionInstance = time.Since(tStart)
 	stats.TemplateParts = plans[0].tRes.NumParts
 
 	// Fig. 7b: dissolve boundary template partitions. A template
 	// partition is boundary if, in ANY instance, one of its corresponding
 	// nodes has a scheduling edge crossing that instance's boundary.
 	dStart := time.Now()
+	// owner[v] identifies the (plan, instance) that owns node v, packed as
+	// planIdx<<16 | instIdx, or -1. Plans claim disjoint node sets.
+	owner := filled(c.NumNodes(), -1)
+	for pi, pl := range plans {
+		for i, set := range pl.sets {
+			tag := int32(pi)<<16 | int32(i)
+			for _, v := range set {
+				owner[v] = tag
+			}
+		}
+	}
 	for pi, pl := range plans {
 		boundary := make([]bool, pl.tRes.NumParts)
 		for i, set := range pl.sets {
@@ -501,10 +540,12 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 	if totalKept == 0 {
 		// Everything dissolved: deduplication degenerates to the baseline
 		// (paper Section 4.2's worst case).
+		rStart := time.Now()
 		res, err := partition.Partition(g, opt.Partition)
 		if err != nil {
 			return nil, err
 		}
+		timing.Remainder = time.Since(rStart)
 		r := newUnsharedResult(res)
 		r.Stats = stats
 		r.Timing = timing
@@ -516,19 +557,13 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 	// Work on the condensation (one supernode per stamped group, one node
 	// per free node): internal edges of stamped partitions vanish, so the
 	// remainder pass costs ~the free fraction of the design instead of
-	// re-walking everything.
+	// re-walking everything. FindCycle above proved cond acyclic.
 	rStart := time.Now()
-	condSeed := make([]int32, cond.NumNodes())
-	frozen := make(map[int32]bool, groups)
-	for v := range condSeed {
-		if v < groups {
-			condSeed[v] = int32(v)
-			frozen[int32(v)] = true
-		} else {
-			condSeed[v] = -1
-		}
+	frozen := make([]bool, cond.NumNodes())
+	for v := 0; v < groups; v++ {
+		frozen[v] = true
 	}
-	condRes, err := partition.PartitionSeeded(cond, condSeed, frozen, opt.Partition)
+	condRes, err := partition.PartitionFrozen(cond, frozen, opt.Partition)
 	if err != nil {
 		return nil, fmt.Errorf("dedup: remainder partitioning: %w", err)
 	}
@@ -542,24 +577,19 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 	res := &partition.Result{Assign: final, NumParts: condRes.NumParts, Weights: weights}
 	timing.Remainder = time.Since(rStart)
 
-	// Build classes and canonical member orders. Class IDs are dense and
-	// globally unique across plans.
+	// Build classes. Class IDs are dense and globally unique across plans.
+	// Member order needs no rework: a stamped partition holds exactly one
+	// instance's nodes of one template partition, and each instance set
+	// is ascending, so ascending node order (newUnsharedResult's) is
+	// template-position order and corresponds across the class.
+	cStart := time.Now()
 	r := newUnsharedResult(res)
 	classBase := int32(0)
 	for pi, pl := range plans {
+		keptIndex, kc := pl.keptIndex()
 		keptNodes := 0
-		keptIndex := make([]int32, pl.tRes.NumParts)
-		kc := int32(0)
-		for tp, k := range pl.kept {
-			if k {
-				keptIndex[tp] = kc
-				kc++
-			} else {
-				keptIndex[tp] = -1
-			}
-		}
-		for p := range pl.tRes.Assign {
-			if pl.kept[pl.tRes.Assign[p]] {
+		for _, tp := range pl.tRes.Assign {
+			if pl.kept[tp] {
 				keptNodes++
 			}
 		}
@@ -568,29 +598,21 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 		}
 		stats.RealReduction += float64((len(pl.sets)-1)*keptNodes) / float64(c.NumNodes())
 
-		// Canonical member order for stamped partitions: template
-		// position ascending (sets iterate positions in order).
-		classMembers := map[int32][]graph.NodeID{}
 		for i, set := range pl.sets {
 			for p, v := range set {
-				tp := pl.tRes.Assign[p]
-				if !pl.kept[tp] {
-					continue
+				if j := keptIndex[pl.tRes.Assign[p]]; j >= 0 {
+					pid := res.Assign[v]
+					r.Class[pid] = classBase + j
+					r.InstanceOf[pid] = int32(i)
 				}
-				pid := res.Assign[v]
-				classMembers[pid] = append(classMembers[pid], v)
-				r.Class[pid] = classBase + keptIndex[tp]
-				r.InstanceOf[pid] = int32(i)
 			}
-		}
-		for pid, mem := range classMembers {
-			r.Members[pid] = mem
 		}
 		classBase += kc
 	}
 	r.NumClasses = int(classBase)
 	r.Stats = stats
 	r.Timing = timing
+	r.Timing.Classes = time.Since(cStart)
 	r.Timing.Total = time.Since(start)
 	return r, nil
 }
@@ -602,6 +624,22 @@ type plan struct {
 	tRes      *partition.Result
 	kept      []bool
 	keptCount int
+}
+
+// keptIndex numbers the kept template partitions densely in template
+// order (-1 for dissolved ones) and returns the count.
+func (pl *plan) keptIndex() ([]int32, int32) {
+	idx := make([]int32, len(pl.kept))
+	kc := int32(0)
+	for tp, k := range pl.kept {
+		if k {
+			idx[tp] = kc
+			kc++
+		} else {
+			idx[tp] = -1
+		}
+	}
+	return idx, kc
 }
 
 // BaselineResult wraps a plain partitioning as a Result with no shared
@@ -641,22 +679,10 @@ func (r *Result) WithoutSharing() *Result {
 // (-1). Group numbering is dense; groupPlan/groupTpl decode a group ID
 // back to its plan and template partition for cycle-driven dissolution.
 func stampSeed(numNodes int, plans []*plan) (seed, groupPlan, groupTpl []int32) {
-	seed = make([]int32, numNodes)
-	for i := range seed {
-		seed[i] = -1
-	}
+	seed = filled(numNodes, -1)
 	gid := int32(0)
 	for pi, pl := range plans {
-		keptIdx := make([]int32, pl.tRes.NumParts)
-		kc := int32(0)
-		for tp, k := range pl.kept {
-			if k {
-				keptIdx[tp] = kc
-				kc++
-			} else {
-				keptIdx[tp] = -1
-			}
-		}
+		keptIdx, kc := pl.keptIndex()
 		base := gid
 		for i, set := range pl.sets {
 			instBase := base + int32(i)*kc

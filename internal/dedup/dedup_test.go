@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"testing"
+	"time"
 
 	"dedupsim/internal/circuit"
 	"dedupsim/internal/gen"
@@ -253,35 +254,71 @@ func TestDeduplicateTimingPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Timing.Total <= 0 {
-		t.Fatal("timing not recorded")
+	tm := r.Timing
+	stages := []time.Duration{tm.Select, tm.Verify, tm.PartitionInstance, tm.Dissolve,
+		tm.Stamp, tm.Remainder, tm.Classes}
+	var sum time.Duration
+	for i, d := range stages {
+		if d <= 0 {
+			t.Fatalf("stage %d not timed: %+v", i, tm)
+		}
+		sum += d
 	}
-	sum := r.Timing.PartitionInstance + r.Timing.Dissolve + r.Timing.Stamp + r.Timing.Remainder
-	if sum > r.Timing.Total {
-		t.Fatalf("stage times %v exceed total %v", sum, r.Timing.Total)
+	if sum > tm.Total {
+		t.Fatalf("stage times %v exceed total %v", sum, tm.Total)
 	}
 }
 
-func TestDedupPartitioningFasterThanBaselineOnBigDesign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison is slow")
-	}
-	// Fig. 11's claim: dedup partitions faster because it partitions one
-	// instance and stamps the rest.
+// Fig. 11's mechanism: the dedup flow partitions one instance and stamps
+// the rest, so its partitioner calls see fewer nodes than the baseline's
+// one call on the whole design. The dedup flow hands the partitioner the
+// template instance and then the condensation: one node per stamped
+// partition (class >= 0) plus every free node.
+func TestDedupHandsPartitionerFewerNodesThanBaseline(t *testing.T) {
 	c := gen.MustBuild(gen.Config(gen.LargeBoom, 6, 0.5))
 	g := c.SchedGraph()
-
 	r, err := Deduplicate(c, g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := partition.Partition(g, partition.Options{})
-	if err != nil {
-		t.Fatal(err)
+	condensation := 0
+	for p, cl := range r.Class {
+		if cl >= 0 {
+			condensation++
+		} else {
+			condensation += len(r.Members[p])
+		}
 	}
-	_ = base
-	t.Logf("LargeBoom-6C (half scale): dedup total partitioning %v (instance %v, remainder %v)",
-		r.Timing.Total, r.Timing.PartitionInstance, r.Timing.Remainder)
+	dedupNodes := r.Stats.InstanceSize + condensation
+	if baseNodes := g.NumNodes(); dedupNodes >= baseNodes {
+		t.Fatalf("dedup flow partitions %d nodes (instance %d + condensation %d), baseline %d",
+			dedupNodes, r.Stats.InstanceSize, condensation, baseNodes)
+	}
+	t.Logf("LargeBoom-6C (half scale): dedup partitions %d nodes (instance %d + condensation %d) = %.0f%% of the baseline's %d",
+		dedupNodes, r.Stats.InstanceSize, condensation, 100*float64(dedupNodes)/float64(g.NumNodes()), g.NumNodes())
+}
+
+// A grouping whose quotient is cyclic (the Figure 4 situation) must be
+// caught by condense + FindCycle, which is what keeps it from ever
+// reaching the remainder partitioner: on the chain 0->1->2->3, groups
+// {0,3} and {1,2} close a cycle.
+func TestCondenseCyclicGroupingFound(t *testing.T) {
+	g := graph.New(4)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 3)
+	cond, assign := condense(g, []int32{0, 1, 1, 0}, 2)
+	if cond.NumNodes() != 2 || assign[0] != assign[3] || assign[1] != assign[2] {
+		t.Fatalf("condensation %v, assign %v", cond, assign)
+	}
+	if cyc := cond.FindCycle(); len(cyc) != 2 {
+		t.Fatalf("cycle %v, want both groups", cyc)
+	}
+	// Freeing node 3 breaks the cycle.
+	cond, _ = condense(g, []int32{0, 1, 1, -1}, 2)
+	if cyc := cond.FindCycle(); cyc != nil {
+		t.Fatalf("acyclic grouping reported cycle %v", cyc)
+	}
 }
 
 func TestStampSeedDecodeTables(t *testing.T) {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -222,6 +223,35 @@ func TestQuotientDetectsPartitionCycle(t *testing.T) {
 	q := Quotient(g, []int32{0, 1, 1, 0}, 2)
 	if q.IsAcyclic() {
 		t.Fatal("quotient should be cyclic (A->B and B->A)")
+	}
+}
+
+func TestQuotientRowsSortedAndIndependent(t *testing.T) {
+	// Rows are filled in edge order from one flat array per direction;
+	// each must come out sorted and duplicate-free, and growing one row
+	// must not overwrite its neighbour.
+	g := buildGraph(6, [][2]int32{{0, 5}, {0, 3}, {1, 5}, {0, 4}, {1, 2}, {0, 2}, {2, 5}, {3, 4}})
+	q := Quotient(g, []int32{0, 0, 1, 2, 3, 4}, 5)
+	want := [][]NodeID{{1, 2, 3, 4}, {4}, {3}, {}, {}}
+	for p, w := range want {
+		if got := q.Succs(NodeID(p)); !slices.Equal(got, w) {
+			t.Fatalf("succs(%d) = %v, want %v", p, got, w)
+		}
+	}
+	if got := q.Preds(4); !slices.Equal(got, []NodeID{0, 1}) {
+		t.Fatalf("preds(4) = %v", got)
+	}
+	if q.NumEdges() != 6 {
+		t.Fatalf("edges = %d, want 6", q.NumEdges())
+	}
+	for i := 0; i < 3; i++ { // past row 0's share of the flat arrays
+		q.AddEdge(0, 0)
+	}
+	if got := q.Succs(1); !slices.Equal(got, []NodeID{4}) {
+		t.Fatalf("AddEdge on row 0 overwrote row 1: %v", got)
+	}
+	if got := q.Preds(1); !slices.Equal(got, []NodeID{0}) {
+		t.Fatalf("AddEdge on pred row 0 overwrote row 1: %v", got)
 	}
 }
 

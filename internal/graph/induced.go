@@ -15,14 +15,21 @@ func Induced(g *Graph, nodes []NodeID) (*Graph, []int32) {
 	for i, v := range nodes {
 		toLocal[v] = int32(i)
 	}
-	sub := New(len(nodes))
+	b := newCSR(len(nodes))
 	for i, v := range nodes {
-		for _, w := range g.Succs(v) {
+		for _, w := range g.out[v] {
 			if lw := toLocal[w]; lw >= 0 {
-				sub.AddEdge(int32(i), lw)
+				b.count(int32(i), lw)
 			}
 		}
 	}
-	sub.Dedup()
-	return sub, toLocal
+	b.alloc()
+	for i, v := range nodes {
+		for _, w := range g.out[v] {
+			if lw := toLocal[w]; lw >= 0 {
+				b.fill(int32(i), lw)
+			}
+		}
+	}
+	return b.graph(), toLocal
 }

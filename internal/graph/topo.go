@@ -90,11 +90,12 @@ func (g *Graph) FindCycle() []NodeID {
 		node NodeID
 		next int
 	}
+	var stack []frame
 	for s := 0; s < n; s++ {
 		if color[s] != white {
 			continue
 		}
-		stack := []frame{{NodeID(s), 0}}
+		stack = append(stack[:0], frame{NodeID(s), 0})
 		color[s] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]

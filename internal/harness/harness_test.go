@@ -123,7 +123,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 		{"Fig8", cfg.Fig8, []string{"Rocket-1C", "Dedup"}},
 		{"Fig9", cfg.Fig9, []string{"Max Dedup/ESSENT", "K=8"}},
 		{"Fig10", cfg.Fig10, []string{"Rocket_4C"}},
-		{"Fig11", cfg.Fig11, []string{"partition one instance", "Fraction"}},
+		{"Fig11", cfg.Fig11, []string{"partition one instance", "verify isomorphism", "build classes", "Fraction"}},
 		{"Fig12", cfg.Fig12, []string{"Max Dedup/ESSENT throughput: A", "B"}},
 	}
 	for _, tc := range cases {

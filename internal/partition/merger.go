@@ -8,10 +8,19 @@ import "dedupsim/internal/graph"
 // consolidation step, both of which must guarantee that no sequence of
 // individually-safe merges conspires to create a cycle — hence every check
 // runs against the *evolving* quotient, not a snapshot.
+//
+// Adjacency rows are sets kept in slices: a row holds no ID twice, and a
+// merged row keeps the surviving representative's raw (possibly stale)
+// IDs, adds the other side's IDs canonicalised, and drops only the two
+// merged IDs themselves. The budgeted indirect-path query then does not
+// depend on row order: if a path exists it reports true whether the
+// budget or the target is hit first, and if none exists the scan covers
+// every reachable edge. Partition output depends on these exact set sizes,
+// so FuzzMergerEquivalence checks them against a map-based reference.
 type Merger struct {
 	d      *dsu
-	out    []map[int32]struct{} // adjacency, valid at representatives
-	in     []map[int32]struct{}
+	out    [][]int32 // adjacency sets, valid at representatives
+	in     [][]int32
 	weight []int64 // node weight per representative
 	frozen []bool
 	// budget bounds the DFS of each indirect-path query; when exhausted
@@ -19,6 +28,8 @@ type Merger struct {
 	// preserving correctness at the cost of a possibly missed merge.
 	budget int
 
+	// visited marks DFS nodes in hasIndirectPath and row members in
+	// Merge's set union; each use takes a fresh stamp.
 	visited []int32
 	stamp   int32
 	stack   []int32
@@ -40,22 +51,21 @@ func NewMerger(q *graph.Graph, weights []int64, frozen []bool, budget int) *Merg
 	}
 	m := &Merger{
 		d:       newDSU(n),
-		out:     make([]map[int32]struct{}, n),
-		in:      make([]map[int32]struct{}, n),
+		out:     make([][]int32, n),
+		in:      make([][]int32, n),
 		weight:  make([]int64, n),
 		frozen:  make([]bool, n),
 		budget:  budget,
 		visited: make([]int32, n),
 	}
+	// Rows are carved from one backing array per direction, each capped
+	// at its length so a growing row reallocates instead of overwriting
+	// its neighbour.
+	outFlat := make([]int32, 0, q.NumEdges())
+	inFlat := make([]int32, 0, q.NumEdges())
 	for v := 0; v < n; v++ {
-		m.out[v] = make(map[int32]struct{}, q.OutDegree(int32(v)))
-		m.in[v] = make(map[int32]struct{}, q.InDegree(int32(v)))
-		for _, w := range q.Succs(int32(v)) {
-			m.out[v][w] = struct{}{}
-		}
-		for _, w := range q.Preds(int32(v)) {
-			m.in[v][w] = struct{}{}
-		}
+		m.out[v], outFlat = m.carveSet(outFlat, q.Succs(int32(v)))
+		m.in[v], inFlat = m.carveSet(inFlat, q.Preds(int32(v)))
 		if weights != nil {
 			m.weight[v] = weights[v]
 		} else {
@@ -66,6 +76,20 @@ func NewMerger(q *graph.Graph, weights []int64, frozen []bool, budget int) *Merg
 		}
 	}
 	return m
+}
+
+// carveSet appends the distinct IDs of src to flat and returns them as a
+// row capped at its own length, along with the extended flat array.
+func (m *Merger) carveSet(flat, src []int32) (row, rest []int32) {
+	start := len(flat)
+	m.stamp++
+	for _, x := range src {
+		if m.visited[x] != m.stamp {
+			m.visited[x] = m.stamp
+			flat = append(flat, x)
+		}
+	}
+	return flat[start:len(flat):len(flat)], flat
 }
 
 // Rep returns the current representative of part p.
@@ -85,7 +109,7 @@ func (m *Merger) hasIndirectPath(a, b int32) bool {
 	m.stack = m.stack[:0]
 	m.visited[a] = m.stamp
 	visits := 0
-	for s := range m.out[a] {
+	for _, s := range m.out[a] {
 		rs := m.d.find(s)
 		if rs == b || rs == a || m.visited[rs] == m.stamp {
 			continue
@@ -96,7 +120,7 @@ func (m *Merger) hasIndirectPath(a, b int32) bool {
 	for len(m.stack) > 0 {
 		u := m.stack[len(m.stack)-1]
 		m.stack = m.stack[:len(m.stack)-1]
-		for s := range m.out[u] {
+		for _, s := range m.out[u] {
 			// The budget counts edge scans, not nodes, so hub groups with
 			// huge fan-out (e.g. frozen stamped supernodes in the dedup
 			// remainder) cannot blow up a single query.
@@ -146,27 +170,36 @@ func (m *Merger) Merge(a, b int32) int32 {
 		// union-by-size may pick the other representative; move data.
 		ra, rb = rb, ra
 	}
-	for s := range m.out[rb] {
-		rs := m.d.find(s)
-		if rs != r {
-			m.out[r][rs] = struct{}{}
-		}
-	}
-	for s := range m.in[rb] {
-		rs := m.d.find(s)
-		if rs != r {
-			m.in[r][rs] = struct{}{}
-		}
-	}
+	m.out[r] = m.unionRow(m.out[r], m.out[rb], r, rb)
+	m.in[r] = m.unionRow(m.in[r], m.in[rb], r, rb)
 	m.out[rb], m.in[rb] = nil, nil
 	m.weight[r] = m.weight[ra] + m.weight[rb]
 	m.frozen[r] = m.frozen[ra] || m.frozen[rb]
-	// Drop any self-reference created by the contraction.
-	delete(m.out[r], ra)
-	delete(m.out[r], rb)
-	delete(m.in[r], ra)
-	delete(m.in[r], rb)
 	return r
+}
+
+// unionRow folds the other side's row src into r's row dst in place: dst
+// keeps its raw IDs except r and other themselves, and src's IDs join
+// canonicalised, each at most once and never as r.
+func (m *Merger) unionRow(dst, src []int32, r, other int32) []int32 {
+	m.stamp++
+	w := 0
+	for _, x := range dst {
+		if x == r || x == other {
+			continue
+		}
+		m.visited[x] = m.stamp
+		dst[w] = x
+		w++
+	}
+	dst = dst[:w]
+	for _, s := range src {
+		if rs := m.d.find(s); rs != r && m.visited[rs] != m.stamp {
+			m.visited[rs] = m.stamp
+			dst = append(dst, rs)
+		}
+	}
+	return dst
 }
 
 // TryMerge merges a and b if safe; it reports whether it merged.

@@ -54,65 +54,29 @@ func (r *Result) Members() [][]graph.NodeID {
 
 // Partition produces an acyclic partitioning of g (which must be a DAG).
 func Partition(g *graph.Graph, opt Options) (*Result, error) {
-	return PartitionSeeded(g, nil, nil, opt)
+	return PartitionFrozen(g, nil, opt)
 }
 
-// PartitionSeeded partitions g around pre-formed groups: seed[v] >= 0
-// places node v into the given group up front (seed may be nil), and
-// groups whose ID is in frozenGroups refuse any further growth — the
-// deduplication flow freezes the stamped template partitions this way so
-// the remainder is partitioned around them (paper Fig. 7d). The seeded
-// quotient must itself be acyclic.
-func PartitionSeeded(g *graph.Graph, seed []int32, frozenGroups map[int32]bool, opt Options) (*Result, error) {
+// PartitionFrozen partitions the DAG g around frozen nodes: frozen[v]
+// keeps node v a singleton partition that never merges (frozen may be
+// nil). The deduplication flow partitions its condensation this way,
+// freezing one supernode per stamped template partition, so the remainder
+// is partitioned around them (paper Fig. 7d). g must be acyclic; the
+// dedup flow proves that with FindCycle on the same condensation.
+func PartitionFrozen(g *graph.Graph, frozen []bool, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	n := g.NumNodes()
+	if frozen != nil && len(frozen) != n {
+		return nil, fmt.Errorf("partition: frozen length %d != %d nodes", len(frozen), n)
+	}
 	d := newDSU(n)
 	weight := make([]int64, n)
 	for i := range weight {
 		weight[i] = 1
 	}
-	frozenNode := make([]bool, n)
-
-	if seed != nil {
-		if len(seed) != n {
-			return nil, fmt.Errorf("partition: seed length %d != %d nodes", len(seed), n)
-		}
-		// Union each seeded group; first member becomes the anchor.
-		anchor := map[int32]int32{}
-		for v := 0; v < n; v++ {
-			s := seed[v]
-			if s < 0 {
-				continue
-			}
-			if a, ok := anchor[s]; ok {
-				d.union(a, int32(v))
-			} else {
-				anchor[s] = int32(v)
-			}
-			if frozenGroups[s] {
-				frozenNode[v] = true
-			}
-		}
-		// Recompute weights and frozen at representatives.
-		for i := range weight {
-			weight[i] = 0
-		}
-		for v := 0; v < n; v++ {
-			r := d.find(int32(v))
-			weight[r]++
-			if frozenNode[v] {
-				frozenNode[r] = true
-			}
-		}
-	}
-
-	if seed != nil {
-		// The contraction proofs assume an acyclic quotient, so reject a
-		// cyclic seeding up front rather than silently merging the cycle.
-		a0, p0 := d.compress()
-		if !graph.Quotient(g, a0, p0).IsAcyclic() {
-			return nil, fmt.Errorf("partition: seeded quotient is cyclic: %w", graph.ErrCyclic)
-		}
+	frozenNode := frozen // read-only: frozen nodes never merge
+	if frozenNode == nil {
+		frozenNode = make([]bool, n)
 	}
 
 	maxW := int64(opt.MaxSize)
@@ -143,7 +107,7 @@ func PartitionSeeded(g *graph.Graph, seed []int32, frozenGroups map[int32]bool, 
 	m := NewMerger(q, w, frozenPart, opt.DFSBudget)
 	order, err := q.TopoSort()
 	if err != nil {
-		return nil, fmt.Errorf("partition: seeded quotient is cyclic: %w", err)
+		return nil, fmt.Errorf("partition: quotient is cyclic: %w", err)
 	}
 	// Refused pairs are cached: a failed safety check can only flip to
 	// safe if an intermediate group later merges into one endpoint, so
@@ -200,33 +164,47 @@ func PartitionSeeded(g *graph.Graph, seed []int32, frozenGroups map[int32]bool, 
 
 // contractPass performs one en-masse sole-successor (fwd) or
 // sole-predecessor (!fwd) contraction pass over the current quotient and
-// returns the number of merges applied.
+// returns the number of merges applied. It reads the quotient straight off
+// g under one compress() snapshot instead of building it: sole[p] is part
+// p's only distinct successor (or predecessor), -1 if none, -2 if several.
 func contractPass(g *graph.Graph, d *dsu, weight []int64, frozen []bool, maxW int64, fwd bool) int {
-	n := g.NumNodes()
 	assign, parts := d.compress()
-	q := graph.Quotient(g, assign, parts)
-	// Representative node of each part (any member works for union).
-	repNode := make([]int32, parts)
-	for i := range repNode {
+	sole := make([]int32, parts)
+	repNode := make([]int32, parts) // any member works for union
+	for i := range sole {
+		sole[i] = -1
 		repNode[i] = -1
 	}
-	for v := 0; v < n; v++ {
-		if repNode[assign[v]] == -1 {
-			repNode[assign[v]] = int32(v)
+	note := func(p, neigh int32) {
+		if s := sole[p]; s == -1 {
+			sole[p] = neigh
+		} else if s != neigh {
+			sole[p] = -2
+		}
+	}
+	for u, pu := range assign {
+		if repNode[pu] == -1 {
+			repNode[pu] = int32(u)
+		}
+		if fwd && sole[pu] == -2 {
+			continue
+		}
+		for _, v := range g.Succs(int32(u)) {
+			if pv := assign[v]; pv != pu {
+				if fwd {
+					note(pu, pv)
+				} else {
+					note(pv, pu)
+				}
+			}
 		}
 	}
 	merges := 0
-	for p := 0; p < parts; p++ {
-		var neigh []int32
-		if fwd {
-			neigh = q.Succs(int32(p))
-		} else {
-			neigh = q.Preds(int32(p))
-		}
-		if len(neigh) != 1 {
+	for p, s := range sole {
+		if s < 0 {
 			continue
 		}
-		a, b := repNode[p], repNode[neigh[0]]
+		a, b := repNode[p], repNode[s]
 		ra, rb := d.find(a), d.find(b)
 		if ra == rb || frozen[ra] || frozen[rb] {
 			continue

@@ -118,40 +118,30 @@ func TestPropertyRandomDAGsStayAcyclic(t *testing.T) {
 	}
 }
 
-func TestPartitionSeededFrozen(t *testing.T) {
-	// Nodes 0-3 are pre-grouped and frozen; the partitioner must not grow
-	// that group.
+func TestPartitionFrozen(t *testing.T) {
+	// Nodes 0 and 5 of a chain are frozen: they must stay singleton
+	// partitions while the free runs between them still coarsen.
 	g := graph.New(10)
 	for i := int32(0); i < 9; i++ {
 		g.AddEdge(i, i+1)
 	}
-	seed := []int32{0, 0, 0, 0, -1, -1, -1, -1, -1, -1}
-	r, err := PartitionSeeded(g, seed, map[int32]bool{0: true}, Options{MaxSize: 48})
+	frozen := make([]bool, 10)
+	frozen[0], frozen[5] = true, true
+	r, err := PartitionFrozen(g, frozen, Options{MaxSize: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, g, r, 48)
-	frozenPart := r.Assign[0]
-	for v := 0; v < 4; v++ {
-		if r.Assign[v] != frozenPart {
-			t.Fatalf("seeded group split: %v", r.Assign[:4])
+	for _, v := range []int{0, 5} {
+		if w := r.Weights[r.Assign[v]]; w != 1 {
+			t.Fatalf("frozen node %d grew into a %d-node partition: %v", v, w, r.Assign)
 		}
 	}
-	if r.Weights[frozenPart] != 4 {
-		t.Fatalf("frozen group grew to %d nodes", r.Weights[frozenPart])
+	if r.Assign[1] != r.Assign[4] || r.Assign[6] != r.Assign[9] {
+		t.Fatalf("free runs not coarsened: %v", r.Assign)
 	}
-}
-
-func TestPartitionSeededCyclicSeedFails(t *testing.T) {
-	// Seeding {0,3} and {1,2} on the chain 0->1->2->3 creates a cyclic
-	// quotient (the Figure 4 situation); the partitioner must refuse.
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	seed := []int32{0, 1, 1, 0}
-	if _, err := PartitionSeeded(g, seed, nil, Options{}); err == nil {
-		t.Fatal("cyclic seed accepted")
+	if _, err := PartitionFrozen(g, make([]bool, 3), Options{}); err == nil {
+		t.Fatal("frozen slice of the wrong length accepted")
 	}
 }
 

@@ -59,20 +59,21 @@ func LocalityAware(q *graph.Graph, class []int32) (*Schedule, error) {
 	// partitions under the incremental safe-merge rule, so no sequence of
 	// merges can create a cycle. Members are attempted in topological
 	// order, which tends to consolidate instance 0..k-1 cleanly.
-	byClass := map[int32][]int32{}
+	numClasses := int32(0)
+	for _, cl := range class {
+		numClasses = max(numClasses, cl+1)
+	}
+	byClass := make([][]int32, numClasses)
 	for _, p := range baseOrder {
 		if cl := class[p]; cl >= 0 {
 			byClass[cl] = append(byClass[cl], p)
 		}
 	}
 	m := partition.NewMerger(q, nil, nil, 0)
-	classIDs := make([]int32, 0, len(byClass))
-	for cl := range byClass {
-		classIDs = append(classIDs, cl)
-	}
-	sortInt32s(classIDs)
-	for _, cl := range classIDs {
-		members := byClass[cl]
+	for _, members := range byClass {
+		if len(members) == 0 {
+			continue
+		}
 		anchor := members[0]
 		for _, p := range members[1:] {
 			m.TryMerge(anchor, p)
@@ -175,14 +176,6 @@ func Reuse(s *Schedule, class []int32) ReuseStats {
 		st.MeanDistance = float64(sum) / float64(st.Pairs)
 	}
 	return st
-}
-
-func sortInt32s(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func sortByPos(s []int32, pos []int32) {

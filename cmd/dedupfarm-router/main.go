@@ -83,7 +83,6 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 0, "non-terminal fleet jobs admitted before shedding with 429 (0 = default 4096)")
 	logFormat := flag.String("log-format", "text", "log output format: text (key=value lines) or json")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6061; empty = off)")
-	noObs := flag.Bool("no-obs", false, "disable latency histograms and per-job lifecycle traces")
 	dataDir := flag.String("data-dir", "", "durable data directory: journal node registrations and placements, persist replicated checkpoints and artifacts, and recover all of it on restart (empty = in-memory only)")
 	fsync := flag.String("fsync", "", "placement journal fsync policy with -data-dir: always, interval, none (default interval)")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "group-commit period for -fsync interval (0 = default 100ms)")
@@ -127,7 +126,6 @@ func main() {
 		LoadFactor:     *loadFactor,
 		ProbeTimeout:   *probeTimeout,
 		MaxJobs:        *maxJobs,
-		DisableObs:     *noObs,
 		DataDir:        *dataDir,
 		Fsync:          policy,
 		FsyncInterval:  *fsyncInterval,

@@ -92,7 +92,6 @@ func main() {
 	advertise := flag.String("advertise-addr", "", "base URL peers and the router reach this node at (default derived from -addr and the hostname)")
 	logFormat := flag.String("log-format", "text", "log output format: text (key=value lines) or json")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")
-	noObs := flag.Bool("no-obs", false, "disable latency histograms and per-job lifecycle traces")
 	tenantCfg := flag.String("tenant-config", "", "per-tenant QoS config file (JSON: default limits plus a tenants map of weight/rate_per_sec/burst/priority/parks_per_min); reloaded live on SIGHUP (empty = every tenant unlimited, weight 1)")
 	flag.Parse()
 
@@ -161,7 +160,6 @@ func main() {
 		DataDir:         *dataDir,
 		Fsync:           *fsync,
 		FsyncInterval:   *fsyncInterval,
-		DisableObs:      *noObs,
 		Tenants:         tenants,
 	})
 	if err != nil {

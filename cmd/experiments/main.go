@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,13 +40,6 @@ func main() {
 	flag.Var(&figs, "fig", "figure number to regenerate (repeatable: 1 2 8 9 10 11 12)")
 	flag.Var(&tables, "table", "table number to regenerate (repeatable: 2 3 4)")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablation studies")
-	batch := flag.Bool("batch", false, "run the lane-batched throughput experiment")
-	batchOut := flag.String("batch-out", "", "also write the -batch results as JSON to this file (e.g. BENCH_batch.json)")
-	recovery := flag.Bool("recovery", false, "run the durable-farm recovery experiment (cold start vs warm restart vs crash resume)")
-	recoveryOut := flag.String("recovery-out", "", "also write the -recovery results as JSON to this file (e.g. BENCH_recovery.json)")
-	obs := flag.Bool("obs", false, "run the observability-overhead experiment (tracing + histograms on vs off)")
-	obsOut := flag.String("obs-out", "", "also write the -obs results as JSON to this file (e.g. BENCH_obs.json)")
-	obsTrials := flag.Int("obs-trials", 10, "trials per mode for the -obs experiment")
 	flag.Parse()
 
 	cfg := harness.DefaultConfig()
@@ -90,8 +82,8 @@ func main() {
 	for _, t := range tables {
 		selected = append(selected, fmt.Sprintf("table%d", t))
 	}
-	if len(selected) == 0 && !*ablations && !*batch && !*recovery && !*obs {
-		fmt.Fprintln(os.Stderr, "nothing selected; use -all, -fig N, -table N, -batch, -recovery, -obs, or -ablations")
+	if len(selected) == 0 && !*ablations {
+		fmt.Fprintln(os.Stderr, "nothing selected; use -all, -fig N, -table N, or -ablations")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -110,89 +102,6 @@ func main() {
 		}
 		fmt.Println(rep.String())
 		fmt.Printf("(%s generated in %s)\n\n", j.name, time.Since(start).Round(time.Millisecond))
-	}
-
-	if *batch {
-		start := time.Now()
-		res, err := cfg.BatchThroughputData()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "batch throughput failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(harness.RenderBatchThroughput(res).String())
-		fmt.Printf("(batch throughput generated in %s)\n\n", time.Since(start).Round(time.Millisecond))
-		if *batchOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "batch throughput: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*batchOut, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "batch throughput: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *batchOut)
-		}
-	}
-
-	if *recovery {
-		start := time.Now()
-		cyclesPerJob := 5000
-		if *quick {
-			cyclesPerJob = 1000
-		}
-		if *cycles > 0 {
-			cyclesPerJob = *cycles
-		}
-		res, err := runRecoveryExperiment(cyclesPerJob)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "recovery experiment failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(renderRecovery(res))
-		fmt.Printf("(recovery experiment generated in %s)\n\n", time.Since(start).Round(time.Millisecond))
-		if *recoveryOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "recovery experiment: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*recoveryOut, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "recovery experiment: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *recoveryOut)
-		}
-	}
-
-	if *obs {
-		start := time.Now()
-		cyclesPerJob := 5000
-		if *quick {
-			cyclesPerJob = 1000
-		}
-		if *cycles > 0 {
-			cyclesPerJob = *cycles
-		}
-		res, err := runObsExperiment(cyclesPerJob, *obsTrials)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "observability experiment failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(renderObs(res))
-		fmt.Printf("(observability experiment generated in %s)\n\n", time.Since(start).Round(time.Millisecond))
-		if *obsOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "observability experiment: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*obsOut, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "observability experiment: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *obsOut)
-		}
 	}
 
 	if *ablations {

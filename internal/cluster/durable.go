@@ -277,12 +277,10 @@ func (r *Router) recoverFromStore() error {
 			rev:        1,
 		}
 		fj.seq = r.bumpSeqLocked()
-		if r.obs != nil {
-			// The pre-crash trace ring died with the process; the recovered
-			// trace keeps the fleet-wide ID and restarts the story here.
-			fj.trace = obs.NewTrace(spec.TraceID, id)
-			fj.trace.Instant("recovered")
-		}
+		// The pre-crash trace ring died with the process; the recovered
+		// trace keeps the fleet-wide ID and restarts the story here.
+		fj.trace = obs.NewTrace(spec.TraceID, id)
+		fj.trace.Instant("recovered")
 		if rj.terminal {
 			fj.view.Status = farm.Status(rj.status)
 			r.jobs[id] = fj

@@ -212,10 +212,8 @@ func (r *Router) applyPeerDelta(p *peerState, d PlacementDelta) {
 				rev:        pj.Rev,
 			}
 			fj.seq = r.bumpSeqLocked()
-			if r.obs != nil {
-				fj.trace = obs.NewTrace(pj.Spec.TraceID, pj.ID)
-				fj.trace.Instant("adopted", "from", d.RouterID)
-			}
+			fj.trace = obs.NewTrace(pj.Spec.TraceID, pj.ID)
+			fj.trace.Instant("adopted", "from", d.RouterID)
 			r.jobs[pj.ID] = fj
 			r.order = append(r.order, pj.ID)
 			if !fj.terminal && !fj.orphaned {

@@ -70,9 +70,9 @@ type FleetStats struct {
 	// NodeStats maps node ID to its last polled farm stats.
 	NodeStats map[string]*farm.Stats `json:"node_stats,omitempty"`
 
-	// Latency holds the router's own p50/p95/p99 digests (nil with
-	// DisableObs). Fixed shape — two histograms, no per-label maps — so
-	// /stats cannot grow with traffic.
+	// Latency holds the router's own p50/p95/p99 digests. Fixed shape —
+	// two histograms, no per-label maps — so /stats cannot grow with
+	// traffic.
 	Latency *FleetLatencySummaries `json:"latency,omitempty"`
 }
 
@@ -198,11 +198,10 @@ func (r *Router) WriteStatus(w io.Writer) {
 				v.Queued, v.Running, v.Completed, v.Parked, v.Cycles)
 		}
 	}
-	if l := st.Latency; l != nil {
-		fmt.Fprintf(w, "latency: forward p50/p95/p99 %.1f/%.1f/%.1f ms (%d placed), e2e p50/p95/p99 %.0f/%.0f/%.0f ms (%d finished)\n",
-			l.Forward.P50Ms, l.Forward.P95Ms, l.Forward.P99Ms, l.Forward.Count,
-			l.EndToEnd.P50Ms, l.EndToEnd.P95Ms, l.EndToEnd.P99Ms, l.EndToEnd.Count)
-	}
+	l := st.Latency
+	fmt.Fprintf(w, "latency: forward p50/p95/p99 %.1f/%.1f/%.1f ms (%d placed), e2e p50/p95/p99 %.0f/%.0f/%.0f ms (%d finished)\n",
+		l.Forward.P50Ms, l.Forward.P95Ms, l.Forward.P99Ms, l.Forward.Count,
+		l.EndToEnd.P50Ms, l.EndToEnd.P95Ms, l.EndToEnd.P99Ms, l.EndToEnd.Count)
 	if logTotal > 0 {
 		fmt.Fprintf(w, "recent_migrations (last %d of %d):\n", len(logs), logTotal)
 	}
@@ -382,10 +381,6 @@ func Handler(r *Router) http.Handler {
 		r.mu.Unlock()
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no fleet job %q", req.PathValue("id")))
-			return
-		}
-		if tr == nil {
-			httpError(w, http.StatusNotFound, errors.New("tracing disabled on this router"))
 			return
 		}
 		routerView := tr.View()

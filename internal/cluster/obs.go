@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"io"
-	"time"
 
 	"dedupsim/internal/obs"
 )
@@ -15,26 +14,11 @@ import (
 // forwarding, orphaning, and migration; the worker-side events are merged
 // in at read time by the /jobs/{id}/trace handler, which fetches the
 // owner's raw event list and renders both on one Chrome trace timeline.
-//
-// Like the farm's, the whole layer is nil-safe: a router built with
-// DisableObs leaves r.obs nil and every observe call no-ops.
 
 // routerObs aggregates the router's latency histograms.
 type routerObs struct {
 	forward obs.Histogram // forwardSubmit round trip, successful placements
 	e2e     obs.Histogram // fleet job accept -> terminal observed
-}
-
-func (o *routerObs) forwardObs(d time.Duration) {
-	if o != nil {
-		o.forward.Observe(d)
-	}
-}
-
-func (o *routerObs) e2eObs(d time.Duration) {
-	if o != nil {
-		o.e2e.Observe(d)
-	}
 }
 
 // FleetLatencySummaries is the router's /stats latency block: fixed
@@ -49,9 +33,6 @@ type FleetLatencySummaries struct {
 }
 
 func (o *routerObs) latencySummaries() *FleetLatencySummaries {
-	if o == nil {
-		return nil
-	}
 	fwd, e2e := o.forward.Snapshot(), o.e2e.Snapshot()
 	return &FleetLatencySummaries{
 		Forward:  fwd.Summarize(),
@@ -115,7 +96,6 @@ func (r *Router) WriteProm(w io.Writer) error {
 		peerRows = append(peerRows, row)
 	}
 	recovery := r.recovery
-	o := r.obs
 	r.mu.Unlock()
 
 	p := obs.NewPromWriter(w)
@@ -180,9 +160,7 @@ func (r *Router) WriteProm(w io.Writer) error {
 		p.Gauge("dedupfleet_tenant_jobs_running", "Jobs executing per tenant, summed over nodes.",
 			float64(tenants[n].Running), "tenant", n)
 	}
-	if o != nil {
-		p.Histogram("dedupfleet_forward_seconds", "Round-trip latency of successful job placements.", o.forward.Snapshot())
-		p.Histogram("dedupfleet_job_seconds", "Fleet job latency, router accept to observed terminal.", o.e2e.Snapshot())
-	}
+	p.Histogram("dedupfleet_forward_seconds", "Round-trip latency of successful job placements.", r.obs.forward.Snapshot())
+	p.Histogram("dedupfleet_job_seconds", "Fleet job latency, router accept to observed terminal.", r.obs.e2e.Snapshot())
 	return p.Flush()
 }

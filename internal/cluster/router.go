@@ -47,9 +47,6 @@ type RouterConfig struct {
 	// Logf, when non-nil, receives router event logs (registrations,
 	// deaths, migrations).
 	Logf func(format string, args ...any)
-	// DisableObs turns off the router's latency histograms and
-	// per-fleet-job lifecycle traces (on by default).
-	DisableObs bool
 
 	// DataDir, when set, makes the router crash-safe: node registrations
 	// and every fleet job's placement lifecycle are journaled to a
@@ -193,9 +190,9 @@ type fleetJob struct {
 	// created stamps router admission; the fleet end-to-end histogram
 	// measures from here to the router learning the terminal state.
 	created time.Time
-	// trace is the router-side lifecycle trace (nil with DisableObs).
-	// It shares the job's TraceID with the worker-side trace; the
-	// /jobs/{id}/trace handler merges both onto one timeline.
+	// trace is the router-side lifecycle trace. It shares the job's
+	// TraceID with the worker-side trace; the /jobs/{id}/trace handler
+	// merges both onto one timeline.
 	trace *obs.Trace
 }
 
@@ -272,9 +269,8 @@ type Router struct {
 	peerSyncFails int64 // failed peer delta pulls
 	migrationLogs *ringLog
 
-	// obs holds the router's latency histograms (nil with DisableObs,
-	// which also disables per-job traces).
-	obs *routerObs
+	// obs holds the router's latency histograms.
+	obs routerObs
 
 	// changed is closed and replaced under mu on every terminal
 	// transition; WaitDone sleeps on it.
@@ -329,9 +325,6 @@ func OpenRouter(cfg RouterConfig) (*Router, error) {
 		stopped:       make(chan struct{}),
 	}
 	r.watchCtx, r.stopWatch = context.WithCancel(context.Background())
-	if !cfg.DisableObs {
-		r.obs = &routerObs{}
-	}
 	for _, addr := range cfg.Peers {
 		r.peers = append(r.peers, &peerState{addr: addr})
 	}
@@ -514,11 +507,8 @@ func (r *Router) Submit(ctx context.Context, spec farm.JobSpec) (FleetJobView, e
 			body:       []byte(fmt.Sprintf("cluster: tenant %q over submission rate", spec.Tenant)),
 		}
 	}
-	var tr *obs.Trace
-	if r.obs != nil {
-		tr = obs.NewTrace(spec.TraceID, "")
-		tr.Instant("submitted")
-	}
+	tr := obs.NewTrace(spec.TraceID, "")
+	tr.Instant("submitted")
 
 	key, err := r.routeKey(spec)
 	if err != nil {
@@ -572,7 +562,7 @@ func (r *Router) Submit(ctx context.Context, spec farm.JobSpec) (FleetJobView, e
 			tr.Instant("failover", "node", m.id)
 			continue
 		}
-		r.obs.forwardObs(time.Since(fstart))
+		r.obs.forward.Observe(time.Since(fstart))
 		tr.Span("forward", fstart, time.Since(fstart), "node", m.id)
 
 		r.mu.Lock()

@@ -119,7 +119,7 @@ func (r *Router) finishLocked(fj *fleetJob, now time.Time) {
 		r.store.RemoveCheckpoint(fj.id)
 	}
 	fj.trace.Instant("done", "status", string(fj.view.Status), "node", fj.node)
-	r.obs.e2eObs(now.Sub(fj.created))
+	r.obs.e2e.Observe(now.Sub(fj.created))
 	r.notifyLocked()
 }
 

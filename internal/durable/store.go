@@ -362,7 +362,7 @@ func (s *Store) Freeze() {
 
 // Abandon is Freeze plus dropping any buffered-but-unsynced records on
 // Close — the closest an in-process store can get to a SIGKILL. The
-// kill-restart chaos harness and `experiments -recovery` use it.
+// kill-restart chaos harness and bench's farm.recovery_ms probe use it.
 func (s *Store) Abandon() {
 	s.mu.Lock()
 	s.frozen = true

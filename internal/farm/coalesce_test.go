@@ -365,7 +365,7 @@ func TestFarmTraceRunTilesQueued(t *testing.T) {
 		if v.Status != StatusDone || v.Stats.Lanes != tc.lanes {
 			t.Fatalf("%s: %s (%s), lanes %d, want done on %d lanes", v.ID, v.Status, v.Error, v.Stats.Lanes, tc.lanes)
 		}
-		tv, _ := tc.j.TraceView()
+		tv := tc.j.TraceView()
 		queued, firstRun, lastRun, done := -1, -1, -1, -1
 		for i, e := range tv.Events {
 			switch e.Name {

@@ -79,9 +79,6 @@ func Open(cfg Config) (*Farm, error) {
 		stop:           stop,
 		started:        time.Now(),
 	}
-	if !cfg.DisableObs {
-		f.obs = &farmObs{}
-	}
 	if cfg.DataDir != "" {
 		store, err := durable.OpenStore(durable.Options{
 			Dir:           cfg.DataDir,
@@ -181,13 +178,11 @@ func (f *Farm) recoverFromStore() error {
 		// already defaulted pre-tenancy records to the default tenant, so
 		// replaying an old journal needs no format flag-day).
 		f.cfg.Tenants.Activate(spec.Tenant)
-		if f.obs != nil {
-			// The pre-crash trace ring died with the process; the recovered
-			// trace keeps the job's fleet-wide ID and starts its story at
-			// the re-admission.
-			j.trace = obs.NewTrace(spec.TraceID, id)
-			j.trace.Instant("recovered")
-		}
+		// The pre-crash trace ring died with the process; the recovered
+		// trace keeps the job's fleet-wide ID and starts its story at the
+		// re-admission.
+		j.trace = obs.NewTrace(spec.TraceID, id)
+		j.trace.Instant("recovered")
 		if !spec.VCD {
 			for _, data := range f.store.LoadCheckpoint(id) {
 				snap, derr := sim.DecodeSnapshot(data)
@@ -462,7 +457,7 @@ func (f *Farm) recordCheckpoint(j *Job, snap *sim.Snapshot) {
 	}
 	wstart := time.Now()
 	err := f.store.SaveCheckpoint(j.ID, snap.Encode())
-	f.obs.ckptWriteObs(time.Since(wstart))
+	f.obs.ckptWrite.Observe(time.Since(wstart))
 	if err != nil {
 		f.durableErrs.Add(1)
 		return
@@ -473,9 +468,9 @@ func (f *Farm) recordCheckpoint(j *Job, snap *sim.Snapshot) {
 // Kill shuts the farm down as a crash would: buffered-but-unsynced
 // journal records are dropped (per the fsync policy's guarantees),
 // nothing about the shutdown is persisted, and no graceful cleanup runs
-// against the store. Chaos tests and `experiments -recovery` use it to
-// emulate SIGKILL in-process; a real SIGKILL behaves the same minus the
-// in-memory goroutine teardown.
+// against the store. Chaos tests and bench's farm.recovery_ms probe use
+// it to emulate SIGKILL in-process; a real SIGKILL behaves the same
+// minus the in-memory goroutine teardown.
 func (f *Farm) Kill() {
 	if f.store != nil {
 		f.store.Abandon()

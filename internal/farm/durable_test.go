@@ -3,7 +3,10 @@ package farm
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,7 +48,9 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 
 // TestFarmDurableRestartResumes: a killed farm re-admits its unfinished
 // job on reopen and resumes it from the persisted checkpoint — past
-// cycle 0 — finishing bit-exact with an uninterrupted run.
+// cycle 0 — finishing bit-exact with an uninterrupted run. The
+// recovered job's trace starts at a "recovered" instant and the reopened
+// farm's /stats carries its latency block.
 func TestFarmDurableRestartResumes(t *testing.T) {
 	spec := smallSpec()
 	spec.Cycles = 4000
@@ -100,6 +105,42 @@ func TestFarmDurableRestartResumes(t *testing.T) {
 	simResultsEqual(t, "recovered job", want.Stats, v.Stats)
 	if st := f2.Stats(); st.CyclesSavedByResume == 0 {
 		t.Error("CyclesSavedByResume = 0 after a checkpoint resume")
+	}
+
+	// The recovered job gets a fresh trace under its fleet-wide ID that
+	// starts at the re-admission.
+	j2, ok := f2.Job(j.ID)
+	if !ok {
+		t.Fatalf("recovered job %s not found", j.ID)
+	}
+	tv := j2.TraceView()
+	if tv.TraceID == "" || tv.TraceID != j.Spec.TraceID {
+		t.Errorf("recovered trace ID %q, want the pre-crash %q", tv.TraceID, j.Spec.TraceID)
+	}
+	var names []string
+	recovered := false
+	for _, e := range tv.Events {
+		names = append(names, e.Name)
+		recovered = recovered || (e.Name == "recovered" && e.Dur == 0)
+	}
+	if !recovered {
+		t.Errorf("recovered job's trace has no %q instant: %v", "recovered", names)
+	}
+
+	// The reopened farm serves the /stats latency block.
+	ts := httptest.NewServer(Handler(f2))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var page map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := page["latency"]; !ok {
+		t.Error("/stats after a restart has no latency block")
 	}
 }
 

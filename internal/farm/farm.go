@@ -95,13 +95,6 @@ type Config struct {
 	// may share one registry between them.
 	Tenants *tenant.Registry
 
-	// DisableObs turns off latency histograms and per-job lifecycle
-	// traces (see obs.go). On — the default — they cost one histogram
-	// observation or trace append per lifecycle stage, never per cycle;
-	// off, every site degenerates to a nil test (the `experiments -obs`
-	// benchmark guards the on-path overhead at <2%).
-	DisableObs bool
-
 	// FetchArtifact, when non-nil, is consulted once per cold compile key
 	// before compiling locally: given the structural hash and variant it
 	// returns an encoded compile artifact (EncodeArtifact), typically
@@ -237,9 +230,8 @@ type Job struct {
 	started    time.Time
 	finished   time.Time
 
-	// trace is the job's lifecycle trace ring (nil with DisableObs; a
-	// nil *Trace no-ops every method). Set once before the job is
-	// visible, immutable after.
+	// trace is the job's lifecycle trace ring. Set once before the job
+	// is visible, immutable after.
 	trace *obs.Trace
 
 	cancel context.CancelFunc
@@ -371,9 +363,8 @@ type Farm struct {
 	recovery    *RecoveryStats
 	durableErrs atomic.Int64
 
-	// obs holds the stage-latency histograms (nil with DisableObs — see
-	// obs.go). Immutable once set in Open.
-	obs *farmObs
+	// obs holds the stage-latency histograms (see obs.go).
+	obs farmObs
 
 	mu       sync.Mutex
 	closed   bool
@@ -624,9 +615,7 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 		done:       make(chan struct{}),
 		checkpoint: ckpt,
 	}
-	if f.obs != nil {
-		j.trace = obs.NewTrace(spec.TraceID, j.ID)
-	}
+	j.trace = obs.NewTrace(spec.TraceID, j.ID)
 	j.trace.Instant("submitted")
 	if ckpt != nil {
 		// A migrated-in job resumes mid-flight; the trace marks where its
@@ -1052,7 +1041,7 @@ func (f *Farm) compileSpec(ctx context.Context, j *Job) (out compiled, err error
 		f.compileWall += out.compileTime
 		f.mu.Unlock()
 		f.cfg.Tenants.NoteCompile(spec.Tenant)
-		f.obs.compileObs(out.compileTime)
+		f.obs.compile.Observe(out.compileTime)
 		// Persist the design metadata (warm-recompile fallback) and the
 		// compiled artifact bytes (fast path: decode instead of recompile)
 		// so a restarted farm warms before taking jobs.
@@ -1150,11 +1139,11 @@ func (f *Farm) finishLocked(j *Job, status Status, stats *SimStats, err error) b
 // cap so the jobs map (and its stats/VCD buffers) can't grow without
 // bound.
 func (f *Farm) accountFinish(j *Job, status Status) {
-	if status == StatusDone && f.obs != nil {
+	if status == StatusDone {
 		j.mu.Lock()
 		e2e := j.finished.Sub(j.created)
 		j.mu.Unlock()
-		f.obs.e2eObs(e2e)
+		f.obs.e2e.Observe(e2e)
 	}
 	f.mu.Lock()
 	switch status {

@@ -62,10 +62,9 @@ type Stats struct {
 	SimWallMs       float64 `json:"sim_wall_ms"`
 	AggregateSimHz  float64 `json:"aggregate_sim_hz"`
 
-	// Latency holds p50/p95/p99 digests per job stage (nil when the farm
-	// runs with observability disabled). The block has a fixed shape —
-	// six histograms, no per-label maps — so /stats cannot grow with
-	// traffic.
+	// Latency holds p50/p95/p99 digests per job stage. The block has a
+	// fixed shape — six histograms, no per-label maps — so /stats cannot
+	// grow with traffic.
 	Latency *LatencySummaries `json:"latency,omitempty"`
 
 	// Tenants is the per-tenant QoS block: weights, priorities, quota

@@ -5,20 +5,16 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"dedupsim/internal/obs"
 )
 
-// Observability. With Config.DisableObs unset (the default) the farm
-// records six latency histograms — where a job's wall time goes — and a
-// bounded per-job lifecycle trace. All recording is off the hot cycle
-// loop: histograms observe once per stage, traces once per lifecycle
-// event, and a disabled farm (f.obs == nil, j.trace == nil) pays one
-// nil test per site.
+// Observability. The farm records six latency histograms — where a
+// job's wall time goes — and a bounded per-job lifecycle trace. All
+// recording is off the hot cycle loop: histograms observe once per
+// stage, traces once per lifecycle event.
 
-// farmObs holds the farm's stage-latency histograms. A nil *farmObs
-// (observability disabled) makes every observe method a no-op.
+// farmObs holds the farm's stage-latency histograms.
 type farmObs struct {
 	// queueWait is Submit → first attempt start, for every job;
 	// laneWait is the same interval for jobs that ran as batch lanes
@@ -36,42 +32,6 @@ type farmObs struct {
 	e2e obs.Histogram
 }
 
-func (o *farmObs) queueWaitObs(d time.Duration) {
-	if o != nil {
-		o.queueWait.Observe(d)
-	}
-}
-
-func (o *farmObs) laneWaitObs(d time.Duration) {
-	if o != nil {
-		o.laneWait.Observe(d)
-	}
-}
-
-func (o *farmObs) compileObs(d time.Duration) {
-	if o != nil {
-		o.compile.Observe(d)
-	}
-}
-
-func (o *farmObs) simRunObs(d time.Duration) {
-	if o != nil {
-		o.simRun.Observe(d)
-	}
-}
-
-func (o *farmObs) ckptWriteObs(d time.Duration) {
-	if o != nil {
-		o.ckptWrite.Observe(d)
-	}
-}
-
-func (o *farmObs) e2eObs(d time.Duration) {
-	if o != nil {
-		o.e2e.Observe(d)
-	}
-}
-
 // LatencySummaries is the fixed-shape quantile block in Stats: one
 // Summary per stage, no per-label maps, so /stats stays
 // allocation-bounded no matter how many jobs have run.
@@ -84,12 +44,8 @@ type LatencySummaries struct {
 	EndToEnd        obs.Summary `json:"end_to_end"`
 }
 
-// latencySummaries digests the histograms (nil when observability is
-// disabled).
+// latencySummaries digests the histograms.
 func (o *farmObs) latencySummaries() *LatencySummaries {
-	if o == nil {
-		return nil
-	}
 	sum := func(h *obs.Histogram) obs.Summary {
 		s := h.Snapshot()
 		return s.Summarize()
@@ -110,14 +66,8 @@ func (o *farmObs) latencySummaries() *LatencySummaries {
 // must degrade to "other" instead of growing a map without bound.
 const maxRetryCauses = 16
 
-// TraceView returns the job's lifecycle trace snapshot (false when the
-// farm runs with observability disabled).
-func (j *Job) TraceView() (obs.TraceView, bool) {
-	if j.trace == nil {
-		return obs.TraceView{}, false
-	}
-	return j.trace.View(), true
-}
+// TraceView returns the job's lifecycle trace snapshot.
+func (j *Job) TraceView() obs.TraceView { return j.trace.View() }
 
 // traceOutcome labels a run span with how the attempt ended.
 func traceOutcome(err error) string {
@@ -226,26 +176,17 @@ func (f *Farm) WriteProm(w io.Writer) error {
 		}
 	}
 
-	if f.obs != nil {
-		hist := func(name, help string, h *obs.Histogram) {
-			s := h.Snapshot()
-			p.Histogram(name, help, s)
-		}
-		hist("dedupfarm_queue_wait_seconds", "Submit to first attempt start.", &f.obs.queueWait)
-		hist("dedupfarm_lane_wait_seconds", "Submit to batch start for coalesced lanes.", &f.obs.laneWait)
-		hist("dedupfarm_compile_seconds", "Cache-miss compile wall time.", &f.obs.compile)
-		hist("dedupfarm_sim_run_seconds", "Per-attempt simulation wall time.", &f.obs.simRun)
-		hist("dedupfarm_checkpoint_write_seconds", "Durable checkpoint encode+write time.", &f.obs.ckptWrite)
-		hist("dedupfarm_job_seconds", "End-to-end latency of completed jobs.", &f.obs.e2e)
-	}
+	p.Histogram("dedupfarm_queue_wait_seconds", "Submit to first attempt start.", f.obs.queueWait.Snapshot())
+	p.Histogram("dedupfarm_lane_wait_seconds", "Submit to batch start for coalesced lanes.", f.obs.laneWait.Snapshot())
+	p.Histogram("dedupfarm_compile_seconds", "Cache-miss compile wall time.", f.obs.compile.Snapshot())
+	p.Histogram("dedupfarm_sim_run_seconds", "Per-attempt simulation wall time.", f.obs.simRun.Snapshot())
+	p.Histogram("dedupfarm_checkpoint_write_seconds", "Durable checkpoint encode+write time.", f.obs.ckptWrite.Snapshot())
+	p.Histogram("dedupfarm_job_seconds", "End-to-end latency of completed jobs.", f.obs.e2e.Snapshot())
 	return p.Flush()
 }
 
 // writeLatencyText renders the quantile block for /statusz.
 func writeLatencyText(w io.Writer, l *LatencySummaries) {
-	if l == nil {
-		return
-	}
 	row := func(name string, s obs.Summary) {
 		if s.Count == 0 {
 			return

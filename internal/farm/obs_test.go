@@ -174,54 +174,3 @@ func TestServerObservability(t *testing.T) {
 		}
 	}
 }
-
-// TestFarmDisableObs pins the off switch: no latency block in stats, no
-// traces, trace endpoints 404, and /metrics still serves a valid page
-// (counters only, no histograms).
-func TestFarmDisableObs(t *testing.T) {
-	f := New(Config{Workers: 1, DisableObs: true})
-	defer f.Close()
-	ts := httptest.NewServer(Handler(f))
-	defer ts.Close()
-
-	j, err := f.Submit(JobSpec{DesignSpec: DesignSpec{Design: "Rocket-2C", Scale: 0.1}, Cycles: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, f, j.ID)
-
-	if st := f.Stats(); st.Latency != nil {
-		t.Errorf("stats.Latency = %+v with observability disabled, want nil", st.Latency)
-	}
-	if _, ok := j.TraceView(); ok {
-		t.Error("job has a trace with observability disabled")
-	}
-	// Trace IDs still propagate (they live in the spec, not the obs
-	// layer) so a fleet with mixed settings keeps end-to-end identity.
-	if j.Spec.TraceID == "" {
-		t.Error("no trace ID assigned with observability disabled")
-	}
-
-	resp, err := http.Get(ts.URL + "/jobs/" + j.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("trace endpoint: HTTP %d with observability disabled, want 404", resp.StatusCode)
-	}
-
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if errs := obs.LintProm(page); len(errs) > 0 {
-		t.Errorf("/metrics fails lint with observability disabled: %v\n%s", errs, page)
-	}
-	if strings.Contains(string(page), "dedupfarm_job_seconds_bucket") {
-		t.Error("/metrics serves histograms with observability disabled")
-	}
-}

@@ -60,11 +60,11 @@ func (f *Farm) serve(jobs []*Job) {
 		// so the trace tiles without a gap.
 		wait := now.Sub(enq)
 		j.trace.Span("queued", enq, wait)
-		f.obs.queueWaitObs(wait)
+		f.obs.queueWait.Observe(wait)
 		f.cfg.Tenants.ObserveQueueWait(j.Spec.Tenant, wait)
 		if len(jobs) > 1 {
 			// A coalesced job's wait includes the batch-formation window.
-			f.obs.laneWaitObs(wait)
+			f.obs.laneWait.Observe(wait)
 		}
 		ls = append(ls, &lane{j: j, ctx: ctx, timeout: timeout, start: now})
 	}
@@ -343,7 +343,7 @@ func (f *Farm) simulate(ls []*lane, actxs []context.Context, exit func(int, erro
 		f.simCycles += executed
 		f.mu.Unlock()
 		f.cfg.Tenants.ChargeCycles(ls[i].j.Spec.Tenant, executed)
-		f.obs.simRunObs(time.Since(start))
+		f.obs.simRun.Observe(time.Since(start))
 		exit(i, err)
 	}
 	// complete records a lane's results. The compile cost is reported by

@@ -196,11 +196,7 @@ func Handler(f *Farm) http.Handler {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 			return
 		}
-		view, ok := j.TraceView()
-		if !ok {
-			httpError(w, http.StatusNotFound, errors.New("tracing disabled on this farm"))
-			return
-		}
+		view := j.TraceView()
 		if r.URL.Query().Get("format") == "events" {
 			writeJSON(w, http.StatusOK, view)
 			return
@@ -213,9 +209,7 @@ func Handler(f *Farm) http.Handler {
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
 		var views []obs.TraceView
 		for _, j := range f.Jobs() {
-			if v, ok := j.TraceView(); ok {
-				views = append(views, v)
-			}
+			views = append(views, j.TraceView())
 		}
 		w.Header().Set("Content-Type", "application/json")
 		obs.WriteChromeTrace(w, views...)

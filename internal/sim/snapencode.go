@@ -28,22 +28,15 @@ import (
 // any engine running that Program.
 //
 // Version history: v1 wrote one word per logical slot; v2 writes the
-// program's state WORDS, which differ from slots only when 1-bit packing
-// is active. The byte layout is identical, so v1 snapshots still decode
-// — a v1 snapshot restores exactly into an unpacked program (words ==
-// slots) and fails RestoreLane's word-count check against a packed one,
-// never restoring silently-wrong state.
+// program's state WORDS, which differ from slots when 1-bit packing is
+// active. DecodeSnapshot accepts only the current version: a checkpoint
+// is advisory, so an older one degrades to a cycle-0 restart.
 
 var snapshotMagic = [4]byte{'D', 'S', 'N', 'P'}
 
-// SnapshotVersion is the current snapshot wire-format version. Version 1
-// (pre-packing, State indexed by slot) shares the byte layout and is
-// still accepted by DecodeSnapshot.
+// SnapshotVersion is the snapshot wire-format version, the only one
+// DecodeSnapshot accepts.
 const SnapshotVersion = 2
-
-// snapshotMinVersion is the oldest wire-format version DecodeSnapshot
-// accepts.
-const snapshotMinVersion = 1
 
 // Snapshot decode errors. ErrSnapshotVersion distinguishes "written by
 // another build" from plain corruption (ErrSnapshotCorrupt) so callers
@@ -143,9 +136,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < 8 || [4]byte(data[0:4]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshotCorrupt)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v < snapshotMinVersion || v > SnapshotVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d..%d",
-			ErrSnapshotVersion, v, snapshotMinVersion, SnapshotVersion)
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != SnapshotVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrSnapshotVersion, v, SnapshotVersion)
 	}
 	if len(data) < 12 {
 		return nil, fmt.Errorf("%w: truncated", ErrSnapshotCorrupt)

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"testing"
 
-	"dedupsim/internal/codegen"
 	"dedupsim/internal/gen"
 	"dedupsim/internal/harness"
 	"dedupsim/internal/partition"
@@ -142,56 +141,16 @@ func asV1(data []byte) []byte {
 	return v1
 }
 
-// TestSnapshotV1BackwardCompat: version-1 checkpoints (written before
-// 1-bit state packing, one word per slot) still decode, and either
-// restore exactly — against a program with no packed signals, where the
-// layouts coincide — or fail the shape check loudly against a packed
-// program. They must never restore silently wrong.
-func TestSnapshotV1BackwardCompat(t *testing.T) {
-	// Unpacked program: a v1 snapshot is bit-identical to v2 and must
-	// round-trip through decode + restore.
-	c := gen.MustBuild(gen.Config(gen.Rocket, 2, 0.1))
-	unpacked := compileOpt(t, c, codegen.Options{DisablePacking: true})
-	e := sim.New(unpacked, true)
-	drive := stimulus.VVAddA().NewEngineDrive(e)
-	for cyc := 0; cyc < 50; cyc++ {
-		drive(cyc)
-		e.Step()
+// TestSnapshotV1Rejected: a version-1 checkpoint (written before 1-bit
+// state packing, one word per slot) is rejected with ErrSnapshotVersion,
+// not misread as the current layout and not reported as corruption.
+func TestSnapshotV1Rejected(t *testing.T) {
+	_, snap := encodeTestSnapshot(t)
+	_, err := sim.DecodeSnapshot(asV1(snap.Encode()))
+	if !errors.Is(err, sim.ErrSnapshotVersion) {
+		t.Fatalf("decode of v1 snapshot: %v, want ErrSnapshotVersion", err)
 	}
-	snap := e.Save()
-	got, err := sim.DecodeSnapshot(asV1(snap.Encode()))
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if err := e.Restore(got); err != nil {
-		t.Fatalf("v1 snapshot restore into unpacked program: %v", err)
-	}
-	for i, v := range snap.State {
-		if got.State[i] != v {
-			t.Fatalf("v1 State[%d] = %#x, want %#x", i, got.State[i], v)
-		}
-	}
-
-	// Packed program: a slot-indexed v1 snapshot has MORE words than the
-	// packed layout, so restore must fail fast on the shape check.
-	cp := gen.MustBuild(gen.Config(gen.SmallBoom, 4, 0.2))
-	packed := compileOpt(t, cp, codegen.Options{})
-	if packed.PackedSignals == 0 {
-		t.Fatal("test design packed no signals; pick a larger design")
-	}
-	oldStyle := &sim.Snapshot{
-		State: make([]uint64, packed.NumSlots), // one word per slot, pre-packing
-		Mems:  make([][]uint64, len(packed.Mems)),
-	}
-	for i, m := range packed.Mems {
-		oldStyle.Mems[i] = make([]uint64, m.Depth)
-	}
-	dec, err := sim.DecodeSnapshot(asV1(oldStyle.Encode()))
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	ep := sim.New(packed, true)
-	if err := ep.Restore(dec); err == nil {
-		t.Fatal("slot-shaped v1 snapshot restored into packed program without error")
+	if errors.Is(err, sim.ErrSnapshotCorrupt) {
+		t.Fatal("v1 snapshot also reported as corruption")
 	}
 }

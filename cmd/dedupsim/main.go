@@ -8,11 +8,14 @@
 //	dedupsim -design Rocket-2C -variant Dedup -verify   # against reference
 //	dedupsim -design MegaBoom-8C -variant Dedup -model  # modeled counters
 //	dedupsim -design Rocket-2C -json                    # machine-readable
-//	dedupsim -design SmallBoom-4C -lanes 8              # 8 lane-batched sims
+//	dedupsim -design SmallBoom-4C -lanes 8 -verify      # 8 lane-batched sims
 //
 // With -json the human-readable report moves to stderr and stdout carries
 // a single JSON document in the same encoding the farm API (dedupfarmd)
-// serves, so scripts can consume either interchangeably.
+// serves, so scripts can consume either interchangeably. With -lanes N,
+// -verify checks every lane against its own reference, -vcd dumps lane 0,
+// and -json emits an array of per-lane records; -stats and -model observe
+// one simulation and need -lanes 1.
 package main
 
 import (
@@ -118,29 +121,41 @@ func main() {
 		fail(fmt.Errorf("unknown workload %q", *workload))
 	}
 
-	if *lanes > 1 {
-		if *verify || *vcdPath != "" || *stats || *model {
-			fail(fmt.Errorf("-lanes runs plain lockstep simulation; drop -verify/-vcd/-stats/-model or use -lanes 1"))
-		}
-		runLanes(sigCtx, out, c, cv, wl, *lanes, *cycles, compileTime, *jsonOut)
-		return
+	// Every run steps one lane-batched engine; -lanes 1 is the plain
+	// one-simulation run. Lane l reseeds the workload via Workload.Lane.
+	if *lanes > 1 && *model {
+		fail(fmt.Errorf("-model records one simulation; drop it or use -lanes 1"))
 	}
-
-	e := sim.New(prog, cv.Activity)
-	drive := wl.NewDrive()
-	var ref *sim.Ref
-	var refDrive func(stimulus.Driver, int)
+	be, err := sim.NewBatch(prog, cv.Activity, *lanes)
+	if err != nil {
+		fail(err)
+	}
+	L := be.Lanes()
+	drives := make([]func(int), L)
+	for l := range drives {
+		drives[l] = wl.Lane(l).NewLaneDrive(be, l)
+	}
+	// -verify co-simulates every lane against its own reference
+	// interpreter, driven by that lane's stimulus.
+	var refs []*sim.Ref
+	var refDrives []func(stimulus.Driver, int)
 	if *verify {
-		ref, err = sim.NewRef(c)
-		if err != nil {
-			fail(err)
+		for l := 0; l < L; l++ {
+			ref, err := sim.NewRef(c)
+			if err != nil {
+				fail(err)
+			}
+			refs = append(refs, ref)
+			refDrives = append(refDrives, wl.Lane(l).NewDrive())
 		}
-		refDrive = wl.NewDrive()
 	}
 	var pstats *sim.PartitionStats
 	if *stats {
-		pstats = sim.NewPartitionStats(e)
+		if pstats, err = sim.NewPartitionStats(be); err != nil {
+			fail(err)
+		}
 	}
+	// -vcd samples lane 0.
 	var vcd *sim.VCDWriter
 	var vcdFile *os.File
 	var prober *sim.EngineProber
@@ -150,7 +165,7 @@ func main() {
 			fail(err)
 		}
 		vcdFile = f
-		prober = sim.NewEngineProber(prog, e.Slot, c)
+		prober = sim.NewEngineProber(prog, func(s int32) uint64 { return be.Slot(0, s) }, c)
 		var probes []string
 		for _, n := range sim.ProbeNames(c) {
 			if _, _, ok := prober.Probe(n); ok {
@@ -170,8 +185,10 @@ func main() {
 			interrupted = true
 			break
 		}
-		drive(e, cyc)
-		e.Step()
+		for _, drive := range drives {
+			drive(cyc)
+		}
+		be.Step()
 		if vcd != nil {
 			if err := vcd.Sample(prober, cyc); err != nil {
 				fail(err)
@@ -180,16 +197,16 @@ func main() {
 		if pstats != nil {
 			pstats.Observe()
 		}
-		if ref != nil {
-			refDrive(ref, cyc)
+		for l, ref := range refs {
+			refDrives[l](ref, cyc)
 			ref.Step()
 			for _, o := range c.Outputs() {
 				name := c.Names[o]
-				got, _ := e.Output(name)
+				got, _ := be.Output(l, name)
 				want, _ := ref.Output(name)
 				if got != want {
-					fail(fmt.Errorf("verification FAILED at cycle %d: output %q engine=%#x reference=%#x",
-						cyc, name, got, want))
+					fail(fmt.Errorf("verification FAILED at cycle %d: lane %d output %q engine=%#x reference=%#x",
+						cyc, l, name, got, want))
 				}
 			}
 		}
@@ -206,19 +223,36 @@ func main() {
 		}
 	}
 	wall := time.Since(start)
+	ran := be.Cycles[0]
 	if interrupted {
-		fmt.Fprintf(out, "interrupted after %d of %d cycles; flushing results\n", e.Cycles, *cycles)
+		fmt.Fprintf(out, "interrupted after %d of %d cycles; flushing results\n", ran, *cycles)
 	}
-	fmt.Fprintf(out, "ran %d cycles in %s (%.0f simulated Hz in-process)\n",
-		e.Cycles, wall.Round(time.Millisecond), float64(e.Cycles)/wall.Seconds())
-	total := e.ActsExecuted + e.ActsSkipped
-	fmt.Fprintf(out, "activations: %d executed, %d skipped (%.1f%% activity)\n",
-		e.ActsExecuted, e.ActsSkipped, 100*float64(e.ActsExecuted)/float64(total))
+	var executed, skipped int64
+	for l := 0; l < L; l++ {
+		executed += be.ActsExecuted[l]
+		skipped += be.ActsSkipped[l]
+	}
+	across := ""
+	if L == 1 {
+		fmt.Fprintf(out, "ran %d cycles in %s (%.0f simulated Hz in-process)\n",
+			ran, wall.Round(time.Millisecond), float64(ran)/wall.Seconds())
+	} else {
+		fmt.Fprintf(out, "ran %d lanes x %d cycles in %s (%.0f aggregate simulated Hz, %.0f Hz/lane)\n",
+			L, ran, wall.Round(time.Millisecond), float64(int64(L)*ran)/wall.Seconds(), float64(ran)/wall.Seconds())
+		across = " across lanes"
+	}
+	fmt.Fprintf(out, "activations: %d executed, %d skipped (%.1f%% activity%s)\n",
+		executed, skipped, 100*float64(executed)/float64(executed+skipped), across)
 	for _, o := range c.Outputs() {
-		val, _ := e.Output(c.Names[o])
-		fmt.Fprintf(out, "output %-12s = %#x\n", c.Names[o], val)
+		name := c.Names[o]
+		fmt.Fprintf(out, "output %-12s =", name)
+		for l := 0; l < L; l++ {
+			v, _ := be.Output(l, name)
+			fmt.Fprintf(out, " %#x", v)
+		}
+		fmt.Fprintln(out)
 	}
-	if ref != nil && !interrupted {
+	if refs != nil && !interrupted {
 		fmt.Fprintln(out, "verification PASSED: all outputs matched the reference every cycle")
 	}
 	if pstats != nil {
@@ -238,81 +272,26 @@ func main() {
 			m.Name, ctr.SimHz, ctr.IPC, ctr.L1IMPKI, ctr.BranchMPKI, ctr.StallPct)
 	}
 
+	// -json: one SimStats in the farm encoding, or an array of per-lane
+	// ones when -lanes > 1. The compile time is charged to lane 0.
 	if *jsonOut {
-		n := farm.Counters{Cycles: e.Cycles, ActsExecuted: e.ActsExecuted, ActsSkipped: e.ActsSkipped, DynInstrs: e.DynInstrs}
-		st := farm.CollectStats(c, c.StructuralHash(), cv, n, e.Output, compileTime, wall)
-		st.Workload = wl.Name
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(st); err != nil {
-			fail(err)
-		}
-	}
-}
-
-// runLanes simulates N decorrelated copies of the design in one
-// lane-batched engine (lane l reseeds the workload via Workload.Lane) and
-// reports aggregate throughput. With -json, stdout carries an array of
-// per-lane SimStats in the farm encoding. SIGINT/SIGTERM (sigCtx) stops
-// the lockstep loop at the next chunk boundary and reports what ran.
-func runLanes(sigCtx context.Context, out io.Writer, c *circuit.Circuit, cv *harness.Compiled, wl stimulus.Workload,
-	lanes, cycles int, compileTime time.Duration, jsonOut bool) {
-	be, err := sim.NewBatch(cv.Program, cv.Activity, lanes)
-	if err != nil {
-		fail(err)
-	}
-	drives := make([]func(int), lanes)
-	for l := range drives {
-		drives[l] = wl.Lane(l).NewLaneDrive(be, l)
-	}
-	ran := 0
-	start := time.Now()
-	for cyc := 0; cyc < cycles; cyc++ {
-		if cyc%256 == 0 && sigCtx.Err() != nil {
-			fmt.Fprintf(out, "interrupted after %d of %d cycles; flushing results\n", ran, cycles)
-			break
-		}
-		for l := 0; l < lanes; l++ {
-			drives[l](cyc)
-		}
-		be.Step()
-		ran++
-	}
-	wall := time.Since(start)
-	laneCycles := int64(lanes) * int64(ran)
-	fmt.Fprintf(out, "ran %d lanes x %d cycles in %s (%.0f aggregate simulated Hz, %.0f Hz/lane)\n",
-		lanes, ran, wall.Round(time.Millisecond),
-		float64(laneCycles)/wall.Seconds(), float64(ran)/wall.Seconds())
-	var executed, skipped int64
-	for l := 0; l < lanes; l++ {
-		executed += be.ActsExecuted[l]
-		skipped += be.ActsSkipped[l]
-	}
-	fmt.Fprintf(out, "activations: %d executed, %d skipped (%.1f%% activity across lanes)\n",
-		executed, skipped, 100*float64(executed)/float64(executed+skipped))
-	for _, o := range c.Outputs() {
-		name := c.Names[o]
-		fmt.Fprintf(out, "output %-12s =", name)
-		for l := 0; l < lanes; l++ {
-			v, _ := be.Output(l, name)
-			fmt.Fprintf(out, " %#x", v)
-		}
-		fmt.Fprintln(out)
-	}
-	if jsonOut {
-		stats := make([]farm.SimStats, lanes)
 		hash := c.StructuralHash()
-		for l := range stats {
+		laneStats := make([]farm.SimStats, L)
+		for l := range laneStats {
 			compile := time.Duration(0)
 			if l == 0 {
 				compile = compileTime
 			}
-			stats[l] = farm.CollectLaneStats(c, hash, cv, be, l, compile, wall)
-			stats[l].Workload = wl.Name
+			laneStats[l] = farm.CollectLaneStats(c, hash, cv, be, l, compile, wall)
+			laneStats[l].Workload = wl.Name
+		}
+		var doc any = laneStats
+		if L == 1 {
+			doc = laneStats[0]
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(stats); err != nil {
+		if err := enc.Encode(doc); err != nil {
 			fail(err)
 		}
 	}

@@ -123,7 +123,7 @@ func main() {
 		}
 	}
 	fmt.Printf("  1-bit packing:      %d signals in %d words (state %d slots -> %d words)\n",
-		p.PackedSignals, p.PackedWords, p.NumSlots, p.StateWords())
+		p.PackedSignals, p.PackedWords, p.NumSlots, p.NumWords)
 
 	if *dotPath != "" {
 		f, err := os.Create(*dotPath)

@@ -42,90 +42,43 @@ func (o *routerObs) latencySummaries() *FleetLatencySummaries {
 
 // WriteProm renders the router's Prometheus text-format exposition:
 // placement and resilience counters, per-node health gauges, per-tenant
-// fleet QoS series, and the forward/end-to-end latency histograms.
+// fleet QoS series, and the forward/end-to-end latency histograms. Every
+// counter and gauge comes from one Stats snapshot, the same one /stats
+// and /statusz render.
 func (r *Router) WriteProm(w io.Writer) error {
-	// The fleet tenant block needs the node-stats merge Stats already
-	// does; snapshot it before taking r.mu (Stats locks internally).
-	tenants := r.Stats().Tenants
-	r.mu.Lock()
-	type nodeRow struct {
-		id    string
-		up    float64
-		ready float64
-		load  float64
-	}
-	var nodes []nodeRow
-	for _, v := range r.registry.Views() {
-		row := nodeRow{id: v.ID, load: float64(v.Load)}
-		if v.State == NodeAlive {
-			row.up = 1
-		}
-		if v.Ready {
-			row.ready = 1
-		}
-		nodes = append(nodes, row)
-	}
-	submitted := r.nextID
-	live, orphaned := 0, 0
-	for _, fj := range r.jobs {
-		if !fj.terminal {
-			live++
-		}
-		if fj.orphaned {
-			orphaned++
-		}
-	}
-	forwarded, spilled, failovers := r.forwarded, r.spilled, r.failovers
-	migrations, deaths := r.migrations, r.deaths
-	ckpts, artsIn, artsOut := r.ckptsPulled, r.artsPulled, r.artsServed
-	artEvict, keyEvict, diskHits := r.artifacts.Evictions(), r.routeKeys.Evictions(), r.artsDiskHits
-	adopted, syncs, syncFails := r.jobsAdopted, r.peerSyncs, r.peerSyncFails
-	type peerRow struct {
-		id string
-		up float64
-	}
-	var peerRows []peerRow
-	for _, pr := range r.peers {
-		row := peerRow{id: pr.id}
-		if row.id == "" {
-			row.id = pr.addr
-		}
-		if pr.up {
-			row.up = 1
-		}
-		peerRows = append(peerRows, row)
-	}
-	recovery := r.recovery
-	r.mu.Unlock()
-
+	st := r.Stats()
 	p := obs.NewPromWriter(w)
-	p.Counter("dedupfleet_jobs_submitted_total", "Jobs accepted by the router.", float64(submitted))
-	p.Counter("dedupfleet_jobs_forwarded_total", "Jobs placed on a worker node (spills included).", float64(forwarded))
-	p.Counter("dedupfleet_jobs_spilled_total", "Jobs placed off their key's primary ring owner.", float64(spilled))
-	p.Counter("dedupfleet_failovers_total", "Placements that skipped an unreachable candidate.", float64(failovers))
-	p.Counter("dedupfleet_migrations_total", "Jobs re-placed off dead nodes.", float64(migrations))
-	p.Counter("dedupfleet_node_deaths_total", "Nodes declared dead by the prober.", float64(deaths))
-	p.Counter("dedupfleet_checkpoints_pulled_total", "Checkpoints replicated off worker nodes.", float64(ckpts))
-	p.Counter("dedupfleet_artifacts_replicated_total", "Compile artifacts replicated off worker nodes.", float64(artsIn))
-	p.Counter("dedupfleet_artifacts_served_total", "Artifact fetches served back to nodes.", float64(artsOut))
-	p.Counter("dedupfleet_artifact_evictions_total", "Artifacts evicted from the bounded in-memory cache.", float64(artEvict))
-	p.Counter("dedupfleet_routekey_evictions_total", "Route-key memo entries evicted from the bounded cache.", float64(keyEvict))
-	p.Counter("dedupfleet_artifact_disk_hits_total", "Artifact serves satisfied from the disk tier after a memory miss.", float64(diskHits))
-	p.Counter("dedupfleet_jobs_adopted_total", "Fleet jobs adopted from peer routers.", float64(adopted))
-	p.Counter("dedupfleet_peer_syncs_total", "Successful peer placement-delta pulls.", float64(syncs))
-	p.Counter("dedupfleet_peer_sync_failures_total", "Failed peer placement-delta pulls.", float64(syncFails))
-	p.Gauge("dedupfleet_nodes", "Registered worker nodes (any state).", float64(len(nodes)))
-	p.Gauge("dedupfleet_jobs_live", "Fleet jobs not yet terminal.", float64(live))
-	p.Gauge("dedupfleet_jobs_orphaned", "Fleet jobs awaiting re-placement.", float64(orphaned))
-	for _, n := range nodes {
-		p.Gauge("dedupfleet_node_up", "1 if the node is alive per the last probe round.", n.up, "node", n.id)
-		p.Gauge("dedupfleet_node_ready", "1 if the node accepts new placements.", n.ready, "node", n.id)
-		p.Gauge("dedupfleet_node_load", "Router-tracked live jobs on the node.", n.load, "node", n.id)
+	p.Counter("dedupfleet_jobs_submitted_total", "Jobs accepted by the router.", float64(st.JobsSubmitted))
+	p.Counter("dedupfleet_jobs_forwarded_total", "Jobs placed on a worker node (spills included).", float64(st.Forwarded))
+	p.Counter("dedupfleet_jobs_spilled_total", "Jobs placed off their key's primary ring owner.", float64(st.Spilled))
+	p.Counter("dedupfleet_failovers_total", "Placements that skipped an unreachable candidate.", float64(st.Failovers))
+	p.Counter("dedupfleet_migrations_total", "Jobs re-placed off dead nodes.", float64(st.Migrations))
+	p.Counter("dedupfleet_node_deaths_total", "Nodes declared dead by the prober.", float64(st.NodeDeaths))
+	p.Counter("dedupfleet_checkpoints_pulled_total", "Checkpoints replicated off worker nodes.", float64(st.CheckpointsPulled))
+	p.Counter("dedupfleet_artifacts_replicated_total", "Compile artifacts replicated off worker nodes.", float64(st.ArtifactsReplicated))
+	p.Counter("dedupfleet_artifacts_served_total", "Artifact fetches served back to nodes.", float64(st.ArtifactsServed))
+	p.Counter("dedupfleet_artifact_evictions_total", "Artifacts evicted from the bounded in-memory cache.", float64(st.ArtifactEvictions))
+	p.Counter("dedupfleet_routekey_evictions_total", "Route-key memo entries evicted from the bounded cache.", float64(st.RouteKeyEvictions))
+	p.Counter("dedupfleet_artifact_disk_hits_total", "Artifact serves satisfied from the disk tier after a memory miss.", float64(st.ArtifactDiskHits))
+	p.Counter("dedupfleet_jobs_adopted_total", "Fleet jobs adopted from peer routers.", float64(st.JobsAdopted))
+	p.Counter("dedupfleet_peer_syncs_total", "Successful peer placement-delta pulls.", float64(st.PeerSyncs))
+	p.Counter("dedupfleet_peer_sync_failures_total", "Failed peer placement-delta pulls.", float64(st.PeerSyncFailures))
+	p.Gauge("dedupfleet_nodes", "Registered worker nodes (any state).", float64(len(st.Nodes)))
+	p.Gauge("dedupfleet_jobs_live", "Fleet jobs not yet terminal.", float64(st.JobsLive))
+	p.Gauge("dedupfleet_jobs_orphaned", "Fleet jobs awaiting re-placement.", float64(st.JobsOrphaned))
+	for _, n := range st.Nodes {
+		p.Gauge("dedupfleet_node_up", "1 if the node is alive per the last probe round.", boolGauge(n.State == NodeAlive), "node", n.ID)
+		p.Gauge("dedupfleet_node_ready", "1 if the node accepts new placements.", boolGauge(n.Ready), "node", n.ID)
+		p.Gauge("dedupfleet_node_load", "Router-tracked live jobs on the node.", float64(n.Load), "node", n.ID)
 	}
-	for _, pr := range peerRows {
-		p.Gauge("dedupfleet_peer_up", "1 if the peer router answered its last delta pull.", pr.up, "peer", pr.id)
+	for _, pr := range st.Peers {
+		id := pr.ID
+		if id == "" {
+			id = pr.Addr
+		}
+		p.Gauge("dedupfleet_peer_up", "1 if the peer router answered its last delta pull.", boolGauge(pr.Up), "peer", id)
 	}
-	if recovery != nil {
+	if recovery := st.Recovery; recovery != nil {
 		p.Gauge("dedupfleet_recovery_placements_replayed", "Job-lifecycle journal records folded by the last recovery.", float64(recovery.PlacementsReplayed))
 		p.Gauge("dedupfleet_recovery_jobs_recovered", "Unfinished fleet jobs re-tracked by the last recovery.", float64(recovery.JobsRecovered))
 		p.Gauge("dedupfleet_recovery_nodes_readopted", "Journaled nodes re-adopted live by the last recovery.", float64(recovery.NodesReadopted))
@@ -135,6 +88,7 @@ func (r *Router) WriteProm(w io.Writer) error {
 	// Per-tenant fleet series: router-side admission counters plus
 	// node-summed execution stats, one label per tenant, emitted
 	// per-metric so the exposition stays one HELP/TYPE block per name.
+	tenants := st.Tenants
 	tnames := sortedTenantNames(tenants)
 	for _, n := range tnames {
 		p.Counter("dedupfleet_tenant_jobs_submitted_total", "Jobs accepted by the router per tenant.",
@@ -163,4 +117,12 @@ func (r *Router) WriteProm(w io.Writer) error {
 	p.Histogram("dedupfleet_forward_seconds", "Round-trip latency of successful job placements.", r.obs.forward.Snapshot())
 	p.Histogram("dedupfleet_job_seconds", "Fleet job latency, router accept to observed terminal.", r.obs.e2e.Snapshot())
 	return p.Flush()
+}
+
+// boolGauge renders a flag as a 0/1 gauge value.
+func boolGauge(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -201,16 +201,23 @@ func TestTouchedSlotsCoverConsumedValues(t *testing.T) {
 func TestConsumersMapIsConsistent(t *testing.T) {
 	c := gen.MustBuild(gen.Config(gen.Rocket, 2, 0.12))
 	p := compile(t, c, true, Options{})
-	if len(p.ConsumersOfSlot) != p.NumSlots {
-		t.Fatalf("consumer map size %d != %d slots", len(p.ConsumersOfSlot), p.NumSlots)
-	}
-	for s, consumers := range p.ConsumersOfSlot {
-		for _, pt := range consumers {
+	check := func(what string, off, edge []int32, n int) {
+		if len(off) != n+1 || off[0] != 0 || int(off[n]) != len(edge) {
+			t.Fatalf("%s map: %d offsets for %d entries, last %d of %d edges", what, len(off), n, off[len(off)-1], len(edge))
+		}
+		for i := 0; i < n; i++ {
+			if off[i] > off[i+1] {
+				t.Fatalf("%s %d: offsets decrease", what, i)
+			}
+		}
+		for _, pt := range edge {
 			if pt < 0 || int(pt) >= p.NumParts {
-				t.Fatalf("slot %d: consumer partition %d out of range", s, pt)
+				t.Fatalf("%s map: consumer partition %d out of range", what, pt)
 			}
 		}
 	}
+	check("slot", p.SlotConsOff, p.SlotConsEdge, p.NumSlots)
+	check("mem", p.MemConsOff, p.MemConsEdge, len(p.Mems))
 }
 
 func TestHashCodeDistinguishes(t *testing.T) {

@@ -163,7 +163,6 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 
 	// Activations in schedule order.
 	p.Activations = make([]Activation, 0, numParts)
-	p.PartOfActivation = make([]int32, 0, numParts)
 	for _, pid := range s.Order {
 		u := units[pid]
 		k := p.Kernels[kernelOf[pid]]
@@ -176,7 +175,6 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 			p.TableBytes += 4*len(act.Ext) + 4*len(act.Mems) + 16
 		}
 		p.Activations = append(p.Activations, act)
-		p.PartOfActivation = append(p.PartOfActivation, pid)
 	}
 
 	// Activation-weighted fusion stats: the dispatch count a full-activity
@@ -191,8 +189,7 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 
 	// Activity fan-out maps: who reads which slot / memory. Built as
 	// per-slot lists, then flattened into CSR so the engines' hot
-	// markConsumers loop walks one flat edge array; the [][]int32 fields
-	// stay available as views into it.
+	// markConsumers loop walks one flat edge array.
 	slotCons := make([][]int32, cc.numSlots)
 	memCons := make([][]int32, len(c.Mems))
 	for pid := 0; pid < numParts; pid++ {
@@ -205,8 +202,8 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 			memCons[mem] = appendUnique(memCons[mem], int32(pid))
 		}
 	}
-	p.SlotConsOff, p.SlotConsEdge, p.ConsumersOfSlot = flattenCSR(slotCons)
-	p.MemConsOff, p.MemConsEdge, p.ConsumersOfMem = flattenCSR(memCons)
+	p.SlotConsOff, p.SlotConsEdge = flattenCSR(slotCons)
+	p.MemConsOff, p.MemConsEdge = flattenCSR(memCons)
 
 	// Per-write-port commit masks, precomputed like instruction masks.
 	for i := range p.WritePorts {
@@ -227,23 +224,17 @@ func newCompiler(c *circuit.Circuit, dr *dedup.Result, opt Options) *compiler {
 }
 
 // flattenCSR packs per-index adjacency lists into offsets + one flat edge
-// array, returning the old list-of-lists shape as views into the flat
-// storage (len(lists)+1 offsets; views[i] aliases edges[off[i]:off[i+1]]).
-func flattenCSR(lists [][]int32) (off, edges []int32, views [][]int32) {
+// array: lists[i] becomes edges[off[i]:off[i+1]].
+func flattenCSR(lists [][]int32) (off, edges []int32) {
 	off = make([]int32, len(lists)+1)
-	total := 0
 	for i, l := range lists {
-		off[i] = int32(total)
-		total += len(l)
+		off[i+1] = off[i] + int32(len(l))
 	}
-	off[len(lists)] = int32(total)
-	edges = make([]int32, 0, total)
-	views = make([][]int32, len(lists))
-	for i, l := range lists {
+	edges = make([]int32, 0, off[len(lists)])
+	for _, l := range lists {
 		edges = append(edges, l...)
-		views[i] = edges[off[i]:off[i+1]:off[i+1]]
 	}
-	return off, edges, views
+	return off, edges
 }
 
 // appendUnique appends v unless it is already present. Callers append

@@ -18,7 +18,7 @@ func TestEmitCppStructure(t *testing.T) {
 	src := sb.String()
 	for _, want := range []string{
 		"struct Rocket_4C {",
-		fmt.Sprintf("uint64_t state[%d]", p.StateWords()),
+		fmt.Sprintf("uint64_t state[%d]", p.NumWords),
 		"void eval()",
 		"void commit()",
 		"void step()",

@@ -246,25 +246,17 @@ type Program struct {
 	// SlotOfNode maps circuit nodes to slots (-1 when the value lives
 	// only in kernel temps). Exposed for probes and tests.
 	SlotOfNode []int32
-	// ConsumersOfSlot lists, per slot, the partitions that read it —
-	// the activity-tracking fan-out map. Each entry is a view into the
-	// CSR arrays below; callers may keep indexing it as before.
-	ConsumersOfSlot [][]int32
-	// ConsumersOfMem lists, per memory, the partitions that read it.
-	// Like ConsumersOfSlot, each entry is a view into the CSR arrays.
-	ConsumersOfMem [][]int32
-	// SlotConsOff/SlotConsEdge are the slot fan-out map in CSR form:
-	// the consumers of slot s are SlotConsEdge[SlotConsOff[s]:
-	// SlotConsOff[s+1]]. One flat allocation, no per-slot pointer chase —
-	// the engines' markConsumers hot path walks these directly.
+	// SlotConsOff/SlotConsEdge are the activity-tracking fan-out map in
+	// CSR form: the partitions reading slot s are SlotConsEdge[
+	// SlotConsOff[s]:SlotConsOff[s+1]] (SlotConsumers). One flat
+	// allocation, no per-slot pointer chase — the engines' markConsumers
+	// hot path walks these directly.
 	SlotConsOff  []int32
 	SlotConsEdge []int32
-	// MemConsOff/MemConsEdge are ConsumersOfMem in the same CSR form.
+	// MemConsOff/MemConsEdge list, per memory, the partitions that read
+	// it, in the same CSR form (MemConsumers).
 	MemConsOff  []int32
 	MemConsEdge []int32
-	// PartOfActivation maps schedule position to partition (same as
-	// Activations[i].Part, kept for fast access).
-	PartOfActivation []int32
 	// UniqueCodeBytes sums CodeBytes over kernels (each kernel counted
 	// once): the simulator's code footprint.
 	UniqueCodeBytes int
@@ -279,8 +271,8 @@ type Program struct {
 	NumWords int
 	// SlotWord maps a logical slot to its physical state word; SlotBit
 	// gives the bit within that word, or -1 for full-word (unpacked)
-	// slots. Both have NumSlots entries. Nil on Programs built before
-	// packing existed (treated as identity, no packed slots).
+	// slots. Both have NumSlots entries, or are nil when no slot is
+	// packed (identity: slot == word).
 	SlotWord []int32
 	SlotBit  []int8
 	// PackedSignals counts 1-bit signals packed into shared words;
@@ -302,13 +294,15 @@ func (p *Program) WordOf(s int32) (word int32, bit int8) {
 	return p.SlotWord[s], p.SlotBit[s]
 }
 
-// StateWords returns the engine state-vector length in words, tolerating
-// Programs predating bit packing (NumWords unset).
-func (p *Program) StateWords() int {
-	if p.NumWords > 0 {
-		return p.NumWords
-	}
-	return p.NumSlots
+// SlotConsumers returns the partitions that read slot s: a view into
+// the CSR fan-out map, not a copy.
+func (p *Program) SlotConsumers(s int32) []int32 {
+	return p.SlotConsEdge[p.SlotConsOff[s]:p.SlotConsOff[s+1]]
+}
+
+// MemConsumers returns the partitions that read memory m.
+func (p *Program) MemConsumers(m int32) []int32 {
+	return p.MemConsEdge[p.MemConsOff[m]:p.MemConsOff[m+1]]
 }
 
 // FusionStats summarizes the superinstruction fusion pass over a

@@ -45,19 +45,15 @@ type SimStats struct {
 	Outputs map[string]string `json:"outputs"`
 }
 
-// Counters are the engine counters a SimStats reports for one
-// simulation: a scalar engine's, or one lane's entries of a batch
-// engine's.
-type Counters struct {
-	Cycles, ActsExecuted, ActsSkipped, DynInstrs int64
-}
-
-// CollectStats assembles a SimStats from a finished run: n holds its
-// counters and output reads its final outputs. hash is the circuit's
-// structural hash, computed once by whoever elaborated it (the farm's
-// design store, or dedupsim itself) rather than once per record.
-func CollectStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, n Counters,
-	output func(string) (uint64, error), compile, wall time.Duration) SimStats {
+// CollectLaneStats assembles a SimStats for one lane of a finished run.
+// The counters are the lane's own (bit-exact with a dedicated one-lane
+// engine); wall is the batch's elapsed time up to this lane's exit, so
+// SimHz is the lane's share of the lockstep run. Lanes follows the
+// SimStats rule: the engine's lane count when it ran two or more, 0 for
+// one lane. hash is the circuit's structural hash, computed once by
+// whoever elaborated it (the farm's design store, or dedupsim itself)
+// rather than once per record.
+func CollectLaneStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, be *sim.BatchEngine, lane int, compile, wall time.Duration) SimStats {
 	prog := cv.Program
 	st := SimStats{
 		Design:       c.Name,
@@ -69,12 +65,15 @@ func CollectStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, n
 		CodeBytes:    prog.UniqueCodeBytes,
 		TableBytes:   prog.TableBytes,
 		CompileMs:    float64(compile) / float64(time.Millisecond),
-		Cycles:       n.Cycles,
+		Cycles:       be.Cycles[lane],
 		WallMs:       float64(wall) / float64(time.Millisecond),
-		ActsExecuted: n.ActsExecuted,
-		ActsSkipped:  n.ActsSkipped,
-		DynInstrs:    n.DynInstrs,
+		ActsExecuted: be.ActsExecuted[lane],
+		ActsSkipped:  be.ActsSkipped[lane],
+		DynInstrs:    be.DynInstrs[lane],
 		Outputs:      map[string]string{},
+	}
+	if be.Lanes() > 1 {
+		st.Lanes = be.Lanes()
 	}
 	if cv.Dedup != nil {
 		st.SharedClasses = cv.Dedup.NumClasses
@@ -87,23 +86,9 @@ func CollectStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, n
 	}
 	for _, out := range c.Outputs() {
 		name := c.Names[out]
-		if v, err := output(name); err == nil {
+		if v, err := be.Output(lane, name); err == nil {
 			st.Outputs[name] = fmt.Sprintf("%#x", v)
 		}
-	}
-	return st
-}
-
-// CollectLaneStats assembles a SimStats for one lane of a batch run. The
-// counters are the lane's own (bit-exact with a dedicated scalar engine);
-// wall is the batch's elapsed time up to this lane's exit, so SimHz is
-// the lane's share of the lockstep run. Lanes follows the SimStats rule:
-// the engine's lane count when it ran two or more, 0 for one lane.
-func CollectLaneStats(c *circuit.Circuit, hash circuit.Hash, cv *harness.Compiled, be *sim.BatchEngine, lane int, compile, wall time.Duration) SimStats {
-	n := Counters{be.Cycles[lane], be.ActsExecuted[lane], be.ActsSkipped[lane], be.DynInstrs[lane]}
-	st := CollectStats(c, hash, cv, n, func(name string) (uint64, error) { return be.Output(lane, name) }, compile, wall)
-	if be.Lanes() > 1 {
-		st.Lanes = be.Lanes()
 	}
 	return st
 }

@@ -16,9 +16,10 @@ import (
 // arrival order — the LECSIM approach the paper cites.
 //
 // It is the third independent implementation of the circuit semantics
-// (after the compiled Engine and the Ref interpreter), which makes it
-// both a stronger equivalence oracle and a faithful work-per-event
-// generator for the commercial-style performance model.
+// (after the compiled Engine and the Ref interpreter) and serves only as
+// an equivalence oracle. The Commercial performance numbers do not come
+// from here: perfmodel.RecordEvents records sim.Ref's EventOps, and
+// perfmodel.RunEventDriven charges them.
 type EventDriven struct {
 	c      *circuit.Circuit
 	levels []int32

@@ -80,14 +80,17 @@ func runLaneEquivalence(t *testing.T, p *codegen.Program, activity bool, lanes i
 
 // FuzzLaneEquivalence fuzzes lane-count equivalence: for fuzzer-chosen
 // designs (every family has memories), stimulus seeds and activity
-// modes, each lane of a 2- or 3-lane BatchEngine must stay snapshot-
+// modes, each lane of a 2-, 3- or 8-lane BatchEngine must stay snapshot-
 // identical with a one-lane engine on the same stream, including across
-// a mid-run snapshot restore in each direction.
+// a mid-run snapshot restore in each direction. Eight lanes are what the
+// sparse lane-list gear needs (2 <= dirty < L/2), so every gear runs.
 func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(4), uint64(1), true, uint8(0))
 	f.Add(uint8(1), uint8(2), uint8(2), uint64(7), false, uint8(1))
 	f.Add(uint8(2), uint8(0), uint8(0), uint64(42), true, uint8(1))
 	f.Add(uint8(1), uint8(0), uint8(6), uint64(3), true, uint8(0))
+	f.Add(uint8(0), uint8(1), uint8(4), uint64(5), true, uint8(2))
+	f.Add(uint8(2), uint8(2), uint8(1), uint64(9), false, uint8(2))
 	f.Fuzz(func(t *testing.T, famSel, cores, scalePct uint8, seed uint64, activity bool, laneSel uint8) {
 		fams := []gen.Family{gen.Rocket, gen.SmallBoom, gen.LargeBoom}
 		fam := fams[int(famSel)%len(fams)]
@@ -101,6 +104,7 @@ func FuzzLaneEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runLaneEquivalence(t, cv.Program, activity, 2+int(laneSel%2), seed, 40)
+		lanes := []int{2, 3, 8}[int(laneSel)%3]
+		runLaneEquivalence(t, cv.Program, activity, lanes, seed, 40)
 	})
 }

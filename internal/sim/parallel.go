@@ -70,7 +70,7 @@ func NewParallel(p *codegen.Program, q *graph.Graph, threads int) (*ParallelEngi
 		p:       p,
 		threads: threads,
 		levels:  make([][]int32, maxLvl+1),
-		state:   make([]uint64, p.StateWords()),
+		state:   make([]uint64, p.NumWords),
 		dirty:   make([]atomic.Bool, p.NumParts),
 		inputs:  map[string]codegen.PortSpec{},
 		outputs: map[string]codegen.PortSpec{},
@@ -79,7 +79,7 @@ func NewParallel(p *codegen.Program, q *graph.Graph, threads int) (*ParallelEngi
 	// so concurrent producers may wake the same partition safely. Bound
 	// here so the hot path never allocates.
 	e.markFn = func(slot int32) {
-		for _, pt := range e.p.ConsumersOfSlot[slot] {
+		for _, pt := range e.p.SlotConsumers(slot) {
 			e.dirty[pt].Store(true)
 		}
 	}
@@ -140,7 +140,7 @@ func (e *ParallelEngine) SetInput(name string, v uint64) error {
 	v &= circuit.Mask(in.Width)
 	if e.state[in.Slot] != v {
 		e.state[in.Slot] = v
-		for _, pt := range e.p.ConsumersOfSlot[in.Slot] {
+		for _, pt := range e.p.SlotConsumers(in.Slot) {
 			e.dirty[pt].Store(true)
 		}
 	}
@@ -208,7 +208,7 @@ func (e *ParallelEngine) Step() {
 		next := e.state[r.Next]
 		if e.state[r.Cur] != next {
 			e.state[r.Cur] = next
-			for _, pt := range p.ConsumersOfSlot[r.Cur] {
+			for _, pt := range p.SlotConsumers(r.Cur) {
 				e.dirty[pt].Store(true)
 			}
 		}
@@ -223,7 +223,7 @@ func (e *ParallelEngine) Step() {
 		data := e.state[wp.Data] & wp.Mask
 		if m[addr] != data {
 			m[addr] = data
-			for _, pt := range p.ConsumersOfMem[wp.Mem] {
+			for _, pt := range p.MemConsumers(wp.Mem) {
 				e.dirty[pt].Store(true)
 			}
 		}

@@ -89,7 +89,7 @@ func (e *BatchEngine) SaveLane(lane int) (*Snapshot, error) {
 		// Dirty starts all false: visit only the set worklist bits.
 		for w, m := range e.actDirty {
 			for ; m != 0; m &= m - 1 {
-				s.Dirty[e.p.PartOfActivation[w<<6|bits.TrailingZeros64(m)]] = true
+				s.Dirty[e.p.Activations[w<<6|bits.TrailingZeros64(m)].Part] = true
 			}
 		}
 		return s, nil

@@ -33,8 +33,10 @@ import (
 // disk caches from other versions then fail decode and recompile locally
 // instead of running a misread Program.
 // Version history: 2 = superinstruction fusion + 1-bit state packing
-// (Program gained fused opcodes, SlotWord/SlotBit, FusionStats).
-const ArtifactVersion = 2
+// (Program gained fused opcodes, SlotWord/SlotBit, FusionStats);
+// 3 = CSR-only fan-out (Program lost ConsumersOfSlot, ConsumersOfMem and
+// PartOfActivation, which a version-2 reader would decode as empty).
+const ArtifactVersion = 3
 
 var artifactMagic = [4]byte{'D', 'S', 'A', 'R'}
 

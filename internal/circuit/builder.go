@@ -42,9 +42,6 @@ func (b *Builder) PopInstance() {
 	b.curInst = p
 }
 
-// CurrentInstance returns the index of the instance under construction.
-func (b *Builder) CurrentInstance() int32 { return b.curInst }
-
 // SetInstance switches construction to an existing instance by index. It
 // exists for elaborators that create nodes lazily, out of strict
 // hierarchical order; ordinary clients should use Push/PopInstance.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dedupsim/internal/durable"
 	"dedupsim/internal/farm"
 	"dedupsim/internal/faultinject"
 	"dedupsim/internal/obs"
@@ -239,6 +240,79 @@ func TestRouterRelays429(t *testing.T) {
 	body, _ := io.ReadAll(last.Body)
 	if !strings.Contains(string(body), "queue") {
 		t.Errorf("shed body %q does not carry the worker's error", body)
+	}
+}
+
+// TestRouterBodyLimit: the router's JSON POST endpoints refuse a body
+// longer than one journal record (durable.MaxRecordLen) with 413; the
+// same body padded to exactly the limit gets through to the handler.
+func TestRouterBodyLimit(t *testing.T) {
+	_, ts := newTestRouter(t, RouterConfig{HeartbeatEvery: time.Hour})
+	spec, _ := json.Marshal(clusterSpec("Rocket-2C", 200, 1))
+	for _, tc := range []struct {
+		path, body string
+		atLimit    int
+	}{
+		{"/jobs", string(spec), http.StatusServiceUnavailable}, // no nodes yet
+		{"/nodes/register", `{"id":"n1","addr":"http://127.0.0.1:1"}`, http.StatusOK},
+	} {
+		for _, extra := range []int{0, 1} {
+			// Leading whitespace is valid JSON the decoder must read through.
+			body := strings.Repeat(" ", durable.MaxRecordLen-len(tc.body)+extra) + tc.body
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := tc.atLimit
+			if extra > 0 {
+				want = http.StatusRequestEntityTooLarge
+			}
+			if resp.StatusCode != want {
+				t.Errorf("POST %s, %d-byte body: got %d (%s), want %d", tc.path, len(body), resp.StatusCode, b, want)
+			}
+		}
+	}
+}
+
+// TestRouterBadNodeStats: a node whose /stats body is not JSON stays a
+// live member but contributes nothing to the fleet sums, while a node
+// with valid stats is summed.
+func TestRouterBadNodeStats(t *testing.T) {
+	r, _ := newTestRouter(t, RouterConfig{HeartbeatEvery: time.Hour})
+	fakeNode := func(stats string) string {
+		mux := http.NewServeMux()
+		ok := func(w http.ResponseWriter, _ *http.Request) {}
+		mux.HandleFunc("GET /livez", ok)
+		mux.HandleFunc("GET /readyz", ok)
+		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, stats) })
+		mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "[]") })
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	for id, stats := range map[string]string{"good": `{"cache":{"misses":2}}`, "bad": "not json"} {
+		if err := r.Register(id, fakeNode(stats)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.pollOnce(context.Background())
+
+	st := r.Stats()
+	if len(st.Nodes) != 2 {
+		t.Fatalf("nodes = %+v, want good and bad", st.Nodes)
+	}
+	for _, n := range st.Nodes {
+		if n.State != NodeAlive || !n.Ready {
+			t.Errorf("node %s is %s (ready %v), want alive and ready", n.ID, n.State, n.Ready)
+		}
+	}
+	if _, ok := st.NodeStats["bad"]; ok {
+		t.Error("node with non-JSON /stats appears in NodeStats")
+	}
+	if fs := st.NodeStats["good"]; fs == nil || fs.Cache.Misses != 2 || st.Compiles != 2 {
+		t.Errorf("good node stats %+v, fleet compiles %d; want 2 misses summed", fs, st.Compiles)
 	}
 }
 

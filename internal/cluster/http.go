@@ -80,6 +80,12 @@ type FleetStats struct {
 func (r *Router) Stats() FleetStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.statsLocked()
+}
+
+// statsLocked is Stats with r.mu already held. It decodes nothing: node
+// stats were decoded when the heartbeat fetched them.
+func (r *Router) statsLocked() FleetStats {
 	st := FleetStats{
 		Nodes:               r.registry.Views(),
 		JobsSubmitted:       r.nextID,
@@ -113,14 +119,11 @@ func (r *Router) Stats() FleetStats {
 		}
 	}
 	for id, m := range r.registry.members {
-		if m.stats == nil {
+		fs := m.stats
+		if fs == nil {
 			continue
 		}
-		var fs farm.Stats
-		if json.Unmarshal(m.stats, &fs) != nil {
-			continue
-		}
-		st.NodeStats[id] = &fs
+		st.NodeStats[id] = fs
 		st.Compiles += fs.Cache.Misses
 		st.WarmHits += fs.Cache.WarmHits
 		st.ArtifactsFetched += fs.ArtifactsFetched
@@ -152,8 +155,8 @@ func (r *Router) Stats() FleetStats {
 // WriteStatus renders the fleet-wide /statusz text: membership,
 // placement counters, dedup totals, and the migration log.
 func (r *Router) WriteStatus(w io.Writer) {
-	st := r.Stats()
 	r.mu.Lock()
+	st := r.statsLocked()
 	logs, logTotal := r.migrationLogs.snapshot()
 	r.mu.Unlock()
 
@@ -240,6 +243,9 @@ type registration struct {
 //	GET  /metrics           Prometheus text-format exposition
 //	GET  /livez, /readyz    router health
 //
+// Both POST bodies are bounded by farm.DecodeBody: over
+// durable.MaxRecordLen bytes answers 413.
+//
 // POST /jobs accepts an X-Trace-Id header (a trace ID already in the
 // spec wins) and echoes the job's trace ID back in the same header.
 //
@@ -252,10 +258,8 @@ func Handler(r *Router) http.Handler {
 
 	mux.HandleFunc("POST /nodes/register", func(w http.ResponseWriter, req *http.Request) {
 		var reg registration
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&reg); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad registration: %w", err))
+		if code, err := farm.DecodeBody(w, req, &reg); err != nil {
+			httpError(w, code, fmt.Errorf("bad registration: %w", err))
 			return
 		}
 		if err := r.Register(reg.ID, reg.Addr); err != nil {
@@ -271,10 +275,8 @@ func Handler(r *Router) http.Handler {
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, req *http.Request) {
 		var spec farm.JobSpec
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+		if code, err := farm.DecodeBody(w, req, &spec); err != nil {
+			httpError(w, code, fmt.Errorf("bad job spec: %w", err))
 			return
 		}
 		if spec.TraceID == "" {

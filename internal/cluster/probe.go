@@ -48,7 +48,7 @@ type probeResult struct {
 	id    string
 	alive bool
 	ready bool
-	stats []byte
+	stats *farm.Stats    // nil if /stats failed or was not valid JSON
 	jobs  []farm.JobView // the node's non-terminal jobs
 }
 
@@ -344,7 +344,12 @@ func (r *Router) probeNode(ctx context.Context, id, addr string) probeResult {
 			res.ready = resp.StatusCode == http.StatusOK
 		}
 	}
-	res.stats = r.httpGet(ctx, addr+"/stats")
+	if data := r.httpGet(ctx, addr+"/stats"); data != nil {
+		var fs farm.Stats
+		if json.Unmarshal(data, &fs) == nil {
+			res.stats = &fs
+		}
+	}
 	if data := r.httpGet(ctx, addr+"/jobs?live=1"); data != nil {
 		var views []farm.JobView
 		if json.Unmarshal(data, &views) == nil {

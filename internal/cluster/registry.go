@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"dedupsim/internal/farm"
 )
 
 // NodeState is a registered node's liveness state as judged by the
@@ -41,9 +43,10 @@ type member struct {
 	// router's forwarding history even between heartbeats.
 	load int
 
-	// stats is the node's last polled farm.Stats JSON, kept raw for the
-	// fleet /statusz and /stats aggregation (nil before the first poll).
-	stats []byte
+	// stats is the node's last polled farm.Stats, decoded outside r.mu
+	// (nil before the first poll that returned valid JSON). A poll
+	// replaces it whole and never mutates it, so snapshots may share it.
+	stats *farm.Stats
 }
 
 // NodeView is a member's externally visible snapshot.

@@ -76,17 +76,6 @@ type RouterConfig struct {
 	// routers never double-migrate the same dead node's jobs.
 	Peers []string
 
-	// MaxArtifacts bounds the in-memory replicated-artifact cache
-	// (default 128 entries, LRU). With DataDir set, evicted artifacts
-	// remain on disk and are reloaded on demand; without it they are
-	// re-replicated from nodes.
-	MaxArtifacts int
-	// MaxRouteKeys bounds the design→route-key memo (default 4096, LRU).
-	MaxRouteKeys int
-	// MaxMigrationLog bounds the retained migration event log (default
-	// 64, drop-oldest).
-	MaxMigrationLog int
-
 	// Tenants is the fleet-wide QoS registry: per-tenant admission
 	// buckets enforced at the front door, so spilling a job to another
 	// node can never launder quota a tenant has already exhausted. Nil
@@ -118,20 +107,26 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.FsyncInterval <= 0 {
 		c.FsyncInterval = 100 * time.Millisecond
 	}
-	if c.MaxArtifacts <= 0 {
-		c.MaxArtifacts = 128
-	}
-	if c.MaxRouteKeys <= 0 {
-		c.MaxRouteKeys = 4096
-	}
-	if c.MaxMigrationLog <= 0 {
-		c.MaxMigrationLog = 64
-	}
 	if c.Tenants == nil {
 		c.Tenants = tenant.NewRegistry(tenant.Config{})
 	}
 	return c
 }
+
+// Fixed bounds, like the design store's: the two caches only matter to a
+// router fed an endless stream of distinct designs, and the migration log
+// keeps just the recent events /statusz shows.
+const (
+	// maxArtifacts bounds the in-memory replicated-artifact cache (LRU).
+	// With DataDir set, evicted artifacts remain on disk and are reloaded
+	// on demand; without it they are re-replicated from nodes.
+	maxArtifacts = 128
+	// maxRouteKeys bounds the design→route-key memo (LRU).
+	maxRouteKeys = 4096
+	// maxMigrationLog bounds the retained migration event log
+	// (drop-oldest).
+	maxMigrationLog = 64
+)
 
 // ErrNoNodes reports a submit with no placeable node in the fleet.
 var ErrNoNodes = errors.New("cluster: no alive, ready nodes")
@@ -229,12 +224,12 @@ type Router struct {
 	// elaborating a design to hash it is cheap next to compiling, but not
 	// free, and fleets see the same few designs over and over. Keyed by
 	// the fixed-size DesignSpec.Key, so the memo never pins FIRRTL text.
-	// Bounded (MaxRouteKeys, LRU); an evicted key is simply recomputed.
+	// Bounded (maxRouteKeys, LRU); an evicted key is simply recomputed.
 	routeKeys *lru.Cache[farm.DesignKey, string]
 	// artifacts is the router's replicated artifact store: encoded
 	// compile artifacts pulled from nodes during heartbeats, served back
 	// to cold peers (and used to warm a migration target) even after the
-	// origin node died. The in-memory tier is bounded (MaxArtifacts,
+	// origin node died. The in-memory tier is bounded (maxArtifacts,
 	// LRU); with a store, evicted entries stay on disk and reload on
 	// demand.
 	artifacts *lru.Cache[string, []byte]
@@ -316,10 +311,10 @@ func OpenRouter(cfg RouterConfig) (*Router, error) {
 		client:        &http.Client{Timeout: cfg.ProbeTimeout},
 		registry:      NewRegistry(cfg.VirtualNodes),
 		jobs:          map[string]*fleetJob{},
-		routeKeys:     lru.New[farm.DesignKey, string](cfg.MaxRouteKeys),
-		artifacts:     lru.New[string, []byte](cfg.MaxArtifacts),
+		routeKeys:     lru.New[farm.DesignKey, string](maxRouteKeys),
+		artifacts:     lru.New[string, []byte](maxArtifacts),
 		routerID:      cfg.RouterID,
-		migrationLogs: newRingLog(cfg.MaxMigrationLog),
+		migrationLogs: newRingLog(maxMigrationLog),
 		changed:       make(chan struct{}),
 		stop:          make(chan struct{}),
 		stopped:       make(chan struct{}),

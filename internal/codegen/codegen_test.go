@@ -172,11 +172,19 @@ func TestBranchSitesCountMuxes(t *testing.T) {
 
 func TestFineGrainDedupOnlySmallKernels(t *testing.T) {
 	c := gen.MustBuild(gen.Config(gen.SmallBoom, 2, 0.12))
-	p := compile(t, c, false, Options{FineGrainDedup: true, FineGrainMaxInstrs: 4})
+	p := compile(t, c, false, Options{FineGrainDedup: true})
+	shared := 0
 	for _, k := range p.Kernels {
-		if k.Shared && len(k.Code) > 4 {
+		if !k.Shared {
+			continue
+		}
+		shared++
+		if len(k.Code) > fineGrainMaxInstrs {
 			t.Fatalf("fine-grained sharing touched a %d-instruction kernel", len(k.Code))
 		}
+	}
+	if shared == 0 {
+		t.Fatal("fine-grained sharing shared no kernel")
 	}
 }
 

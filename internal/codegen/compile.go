@@ -12,11 +12,9 @@ import (
 // Options selects the code-generation strategy.
 type Options struct {
 	// FineGrainDedup enables Verilator-style statement deduplication:
-	// only kernels of at most FineGrainMaxInstrs instructions are shared
+	// only kernels of at most fineGrainMaxInstrs instructions are shared
 	// (by body hash). It is independent of coarse-grained class sharing.
 	FineGrainDedup bool
-	// FineGrainMaxInstrs bounds fine-grained sharing; default 6.
-	FineGrainMaxInstrs int
 	// DisableFusion turns off the superinstruction fusion pass (kernels
 	// keep their one-op-per-node form). Fusion is on by default.
 	DisableFusion bool
@@ -25,17 +23,12 @@ type Options struct {
 	DisablePacking bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.FineGrainMaxInstrs <= 0 {
-		o.FineGrainMaxInstrs = 6
-	}
-	return o
-}
+// fineGrainMaxInstrs bounds the kernels FineGrainDedup shares.
+const fineGrainMaxInstrs = 6
 
 // Compile lowers the circuit under the given (possibly deduplicated)
 // partitioning and schedule into an executable Program.
 func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Options) (*Program, error) {
-	opt = opt.withDefaults()
 	cc := newCompiler(c, dr, opt)
 
 	p := &Program{
@@ -118,7 +111,7 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 				continue
 			}
 			u := units[pid]
-			if len(u.code) > opt.FineGrainMaxInstrs {
+			if len(u.code) > fineGrainMaxInstrs {
 				continue
 			}
 			h := hashCode(u.code)

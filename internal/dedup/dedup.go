@@ -278,10 +278,6 @@ type Options struct {
 	// Partition configures the acyclic partitioner (template and
 	// remainder).
 	Partition partition.Options
-	// MaxCycleRounds bounds the iterative dissolve-on-cycle loop; each
-	// round removes at least one template partition, so the loop always
-	// terminates, but a bound keeps pathological inputs fast. Default 64.
-	MaxCycleRounds int
 	// MultiModule extends deduplication beyond the single best module to
 	// every eligible repeated module (the paper's Figure 6b "multiple
 	// sets" extension; the paper itself dedups only one). Nested
@@ -290,12 +286,10 @@ type Options struct {
 	MultiModule bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxCycleRounds <= 0 {
-		o.MaxCycleRounds = 64
-	}
-	return o
-}
+// maxCycleRounds bounds the iterative dissolve-on-cycle loop; each round
+// removes at least one template partition, so the loop always terminates,
+// but a bound keeps pathological inputs fast.
+const maxCycleRounds = 64
 
 // Stats summarizes what deduplication achieved on a design (Table 2).
 // With Options.MultiModule, the scalar fields describe the primary
@@ -364,7 +358,6 @@ type Result struct {
 // Deduplicate runs the full flow on circuit c with scheduling graph g
 // (normally c.SchedGraph(), passed in so callers can reuse it).
 func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
 	start := time.Now()
 
 	var choices []*Choice
@@ -505,7 +498,7 @@ func Deduplicate(c *circuit.Circuit, g *graph.Graph, opt Options) (*Result, erro
 		if cyc == nil {
 			break
 		}
-		if round >= opt.MaxCycleRounds {
+		if round >= maxCycleRounds {
 			return nil, fmt.Errorf("dedup: cycle persisted after %d dissolve rounds", round)
 		}
 		dissolved := false

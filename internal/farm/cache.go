@@ -180,19 +180,6 @@ func (cc *CompileCache) Lookup(key CacheKey) (*harness.Compiled, time.Duration, 
 	return e.val, e.compileTime, true
 }
 
-// Keys lists the keys of completed, successfully compiled entries.
-func (cc *CompileCache) Keys() []CacheKey {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	keys := make([]CacheKey, 0, len(cc.entries))
-	for key, e := range cc.entries {
-		if e.finished() && e.err == nil {
-			keys = append(keys, key)
-		}
-	}
-	return keys
-}
-
 // InstallWarm installs an already-compiled Program as a completed warm
 // entry (the persistent tier's startup path). compileTime is the
 // historical compile cost, credited to CompileMsSaved when jobs hit the

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"dedupsim/internal/durable"
 	"dedupsim/internal/obs"
 )
 
@@ -37,7 +38,8 @@ import (
 //
 // Admission control: a full queue yields 429 Too Many Requests with a
 // Retry-After hint, and a draining farm yields 503 so load balancers
-// stop routing to it.
+// stop routing to it. A POST /jobs body over durable.MaxRecordLen bytes
+// yields 413.
 //
 // Handlers are safe for concurrent use; all state lives in the Farm.
 func Handler(f *Farm) http.Handler {
@@ -45,10 +47,8 @@ func Handler(f *Farm) http.Handler {
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+		if code, err := DecodeBody(w, r, &spec); err != nil {
+			httpError(w, code, fmt.Errorf("bad job spec: %w", err))
 			return
 		}
 		// X-Trace-Id propagates the submitter's trace ID (the router sets
@@ -281,6 +281,22 @@ func ParseWait(r *http.Request) (time.Duration, error) {
 		return 0, fmt.Errorf("bad wait %q: %w", s, err)
 	}
 	return min(max(d, 0), MaxWait), nil
+}
+
+// DecodeBody decodes a JSON request body into v, rejecting unknown
+// fields. A body over durable.MaxRecordLen bytes, more than one journal
+// record can hold, fails with status 413; any other decode error with 400.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (status int, err error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, durable.MaxRecordLen))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, err
+		}
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

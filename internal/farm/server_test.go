@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dedupsim/internal/durable"
 )
 
 // TestServerEndToEnd drives the whole HTTP surface: submit two identical
@@ -186,6 +188,34 @@ func TestServerErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s %s: got %d (%s), want %d", tc.method, tc.path, resp.StatusCode, b, tc.want)
+		}
+	}
+}
+
+// TestServerBodyLimit: a submission body longer than one journal record
+// (durable.MaxRecordLen) is refused with 413; the same spec padded to
+// exactly the limit is accepted.
+func TestServerBodyLimit(t *testing.T) {
+	f := New(Config{Workers: 1})
+	defer f.Close()
+	srv := httptest.NewServer(Handler(f))
+	defer srv.Close()
+
+	spec := `{"design":"Rocket-2C","scale":0.1,"cycles":100}`
+	for _, tc := range []struct{ pad, want int }{
+		{durable.MaxRecordLen - len(spec), http.StatusAccepted},
+		{durable.MaxRecordLen - len(spec) + 1, http.StatusRequestEntityTooLarge},
+	} {
+		// Leading whitespace is valid JSON the decoder must read through.
+		body := strings.Repeat(" ", tc.pad) + spec
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body: got %d (%s), want %d", len(body), resp.StatusCode, b, tc.want)
 		}
 	}
 }

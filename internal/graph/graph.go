@@ -119,20 +119,6 @@ func dedupSorted(s []NodeID) []NodeID {
 	return s[:w]
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		out: make([][]NodeID, len(g.out)),
-		in:  make([][]NodeID, len(g.in)),
-		m:   g.m,
-	}
-	for u := range g.out {
-		c.out[u] = append([]NodeID(nil), g.out[u]...)
-		c.in[u] = append([]NodeID(nil), g.in[u]...)
-	}
-	return c
-}
-
 // String summarizes the graph for debugging.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{nodes: %d, edges: %d}", g.NumNodes(), g.NumEdges())

@@ -152,53 +152,6 @@ func TestSelfLoopIsCycle(t *testing.T) {
 	}
 }
 
-func TestSCCSimple(t *testing.T) {
-	// Components: {0,1,2} (cycle), {3}, {4,5} (cycle).
-	g := buildGraph(6, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 4}})
-	comp, n := g.SCC()
-	if n != 3 {
-		t.Fatalf("numComp = %d, want 3", n)
-	}
-	if comp[0] != comp[1] || comp[1] != comp[2] {
-		t.Fatalf("0,1,2 split: %v", comp)
-	}
-	if comp[4] != comp[5] {
-		t.Fatalf("4,5 split: %v", comp)
-	}
-	if comp[3] == comp[0] || comp[3] == comp[4] {
-		t.Fatalf("3 merged: %v", comp)
-	}
-}
-
-func TestSCCOnDAGIsIdentityPartition(t *testing.T) {
-	g := buildGraph(5, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}})
-	comp, n := g.SCC()
-	if n != 5 {
-		t.Fatalf("numComp = %d, want 5", n)
-	}
-	seen := map[int32]bool{}
-	for _, c := range comp {
-		if seen[c] {
-			t.Fatalf("component reused on DAG: %v", comp)
-		}
-		seen[c] = true
-	}
-}
-
-func TestCondenseProducesDAG(t *testing.T) {
-	g := buildGraph(6, [][2]int32{{0, 1}, {1, 0}, {1, 2}, {2, 3}, {3, 2}, {3, 4}, {4, 5}, {5, 4}})
-	cond, comp := g.Condense()
-	if !cond.IsAcyclic() {
-		t.Fatal("condensation not acyclic")
-	}
-	if cond.NumNodes() != 3 {
-		t.Fatalf("condensation nodes = %d, want 3", cond.NumNodes())
-	}
-	if len(comp) != 6 {
-		t.Fatalf("mapping length %d", len(comp))
-	}
-}
-
 func TestQuotientDropsInternalEdgesAndDedups(t *testing.T) {
 	// 0,1 in group 0; 2,3 in group 1. Internal edge 0->1 dropped; two cross
 	// edges 1->2, 1->3 collapse onto a single quotient edge 0->1? No: they
@@ -281,73 +234,6 @@ func TestGroupMembers(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := buildGraph(3, [][2]int32{{0, 1}, {1, 2}})
-	c := g.Clone()
-	c.AddEdge(2, 0)
-	if g.HasEdge(2, 0) {
-		t.Fatal("clone aliases original")
-	}
-	if g.NumEdges() != 2 || c.NumEdges() != 3 {
-		t.Fatalf("edge counts %d %d", g.NumEdges(), c.NumEdges())
-	}
-}
-
-func TestReacherBasic(t *testing.T) {
-	g := buildGraph(5, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
-	levels, _ := g.TopoLevels()
-	r := NewReacher(g, levels)
-	if !r.Reaches(0, 3) {
-		t.Fatal("0 should reach 3")
-	}
-	if r.Reaches(3, 0) {
-		t.Fatal("3 should not reach 0")
-	}
-	if !r.Reaches(2, 2) {
-		t.Fatal("node reaches itself")
-	}
-	if r.Reaches(0, 4) {
-		t.Fatal("0 should not reach isolated 4")
-	}
-}
-
-func TestHasIndirectPath(t *testing.T) {
-	// 0 -> 1 (direct) and 0 -> 2 -> 1 (indirect).
-	g := buildGraph(3, [][2]int32{{0, 1}, {0, 2}, {2, 1}})
-	levels, _ := g.TopoLevels()
-	r := NewReacher(g, levels)
-	if !r.HasIndirectPath(0, 1) {
-		t.Fatal("indirect path 0->2->1 missed")
-	}
-	if r.HasIndirectPath(2, 1) {
-		t.Fatal("2->1 is only direct")
-	}
-	if r.HasIndirectPath(1, 0) {
-		t.Fatal("no path 1->0 at all")
-	}
-}
-
-func TestSafeToMerge(t *testing.T) {
-	// Chain 0 -> 1 -> 2: merging (0,1) is safe; merging (0,2) is unsafe
-	// because of the external path through 1.
-	g := buildGraph(3, [][2]int32{{0, 1}, {1, 2}})
-	levels, _ := g.TopoLevels()
-	r := NewReacher(g, levels)
-	if !r.SafeToMerge(0, 1) {
-		t.Fatal("adjacent chain nodes should merge safely")
-	}
-	if r.SafeToMerge(0, 2) {
-		t.Fatal("merging endpoints of a chain must be unsafe")
-	}
-	// Independent siblings can always merge.
-	g2 := buildGraph(3, [][2]int32{{0, 1}, {0, 2}})
-	lv2, _ := g2.TopoLevels()
-	r2 := NewReacher(g2, lv2)
-	if !r2.SafeToMerge(1, 2) {
-		t.Fatal("independent siblings should merge safely")
-	}
-}
-
 // randomDAG builds a random DAG where edges only go from lower to higher IDs.
 func randomDAG(rng *rand.Rand, n, m int) *Graph {
 	g := New(n)
@@ -379,90 +265,6 @@ func TestPropertyTopoOrderRespectsEdges(t *testing.T) {
 					t.Fatalf("edge %d->%d violates topo order", u, v)
 				}
 			}
-		}
-	}
-}
-
-func TestPropertySCCCondensationAcyclic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(40)
-		g := New(n)
-		m := rng.Intn(4 * n)
-		for i := 0; i < m; i++ {
-			g.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
-		}
-		g.Dedup()
-		cond, comp := g.Condense()
-		if !cond.IsAcyclic() {
-			t.Fatal("condensation must be acyclic")
-		}
-		// Nodes in the same component must be mutually reachable.
-		r := NewReacher(g, nil)
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				same := comp[u] == comp[v]
-				mutual := r.Reaches(int32(u), int32(v)) && r.Reaches(int32(v), int32(u))
-				if same != mutual {
-					t.Fatalf("SCC disagreement for %d,%d: same=%v mutual=%v", u, v, same, mutual)
-				}
-			}
-		}
-	}
-}
-
-func TestPropertyReacherMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(30)
-		g := randomDAG(rng, n, rng.Intn(3*n))
-		levels, err := g.TopoLevels()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned := NewReacher(g, levels)
-		naive := NewReacher(g, nil)
-		for q := 0; q < 40; q++ {
-			a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
-			if pruned.Reaches(a, b) != naive.Reaches(a, b) {
-				t.Fatalf("level pruning changed Reaches(%d,%d)", a, b)
-			}
-			if pruned.HasIndirectPath(a, b) != naive.HasIndirectPath(a, b) {
-				t.Fatalf("level pruning changed HasIndirectPath(%d,%d)", a, b)
-			}
-		}
-	}
-}
-
-func TestPropertySafeMergePreservesAcyclicity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + rng.Intn(30)
-		g := randomDAG(rng, n, rng.Intn(3*n))
-		levels, _ := g.TopoLevels()
-		r := NewReacher(g, levels)
-		a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
-		if a == b {
-			continue
-		}
-		// Merge a and b into one group, everything else alone.
-		assign := make([]int32, n)
-		next := int32(1)
-		for v := 0; v < n; v++ {
-			switch {
-			case int32(v) == a || int32(v) == b:
-				assign[v] = 0
-			default:
-				assign[v] = next
-				next++
-			}
-		}
-		q := Quotient(g, assign, int(next))
-		if r.SafeToMerge(a, b) && !q.IsAcyclic() {
-			t.Fatalf("SafeToMerge(%d,%d)=true but merged quotient is cyclic", a, b)
-		}
-		if !r.SafeToMerge(a, b) && q.IsAcyclic() {
-			t.Fatalf("SafeToMerge(%d,%d)=false but merged quotient is acyclic", a, b)
 		}
 	}
 }

@@ -47,9 +47,9 @@ func (g *Graph) IsAcyclic() bool {
 }
 
 // TopoLevels assigns each node its longest-path depth from any source:
-// level(v) = 1 + max(level(preds)), sources at level 0. Levels prune
-// reachability queries (an edge can only reach strictly deeper levels)
-// and drive levelized scheduling. Returns ErrCyclic on cyclic input.
+// level(v) = 1 + max(level(preds)), sources at level 0. Levels drive
+// levelized scheduling: an edge only ever reaches a strictly deeper
+// level. Returns ErrCyclic on cyclic input.
 func (g *Graph) TopoLevels() ([]int32, error) {
 	order, err := g.TopoSort()
 	if err != nil {

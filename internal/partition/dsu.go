@@ -57,9 +57,6 @@ func (d *dsu) union(a, b int32) int32 {
 	return ra
 }
 
-// groupSize returns the size of x's set.
-func (d *dsu) groupSize(x int32) int32 { return d.size[d.find(x)] }
-
 // compress produces a dense assignment: assign[v] in [0, numGroups), with
 // group IDs ordered by smallest member.
 func (d *dsu) compress() (assign []int32, numGroups int) {

@@ -23,9 +23,10 @@ type Merger struct {
 	in     [][]int32
 	weight []int64 // node weight per representative
 	frozen []bool
-	// budget bounds the DFS of each indirect-path query; when exhausted
-	// the query conservatively reports "path exists" (merge refused),
-	// preserving correctness at the cost of a possibly missed merge.
+	// budget bounds the DFS of each indirect-path query (dfsBudget
+	// outside tests); when exhausted the query conservatively reports
+	// "path exists" (merge refused), preserving correctness at the cost
+	// of a possibly missed merge.
 	budget int
 
 	// visited marks DFS nodes in hasIndirectPath and row members in
@@ -35,20 +36,25 @@ type Merger struct {
 	stack   []int32
 }
 
+// dfsBudget is the number of edge scans each safe-merge query may make.
+const dfsBudget = 512
+
 // NewMerger wraps a quotient graph whose parts carry the given node
-// weights. frozen parts refuse all merges; frozen may be nil. budget <= 0
-// selects a default.
+// weights. frozen parts refuse all merges; frozen may be nil.
 //
-// Note on pruning: unlike graph.Reacher, the merger's path queries cannot
-// use topological-level pruning. A path in the EVOLVING quotient may pass
-// through a merged group entering at a high-level member and leaving from
-// a low-level one, so original-graph levels do not bound quotient paths.
-// The DFS budget is the (conservative) cost control instead.
-func NewMerger(q *graph.Graph, weights []int64, frozen []bool, budget int) *Merger {
+// Note on pruning: the merger's path queries cannot use topological-level
+// pruning. A path in the EVOLVING quotient may pass through a merged
+// group entering at a high-level member and leaving from a low-level one,
+// so original-graph levels do not bound quotient paths. The DFS budget is
+// the (conservative) cost control instead.
+func NewMerger(q *graph.Graph, weights []int64, frozen []bool) *Merger {
+	return newMerger(q, weights, frozen, dfsBudget)
+}
+
+// newMerger is NewMerger with an explicit DFS budget; tests use small
+// budgets to reach the exhausted-budget path.
+func newMerger(q *graph.Graph, weights []int64, frozen []bool, budget int) *Merger {
 	n := q.NumNodes()
-	if budget <= 0 {
-		budget = 512
-	}
 	m := &Merger{
 		d:       newDSU(n),
 		out:     make([][]int32, n),

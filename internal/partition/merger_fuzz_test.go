@@ -32,8 +32,11 @@ func FuzzMergerEquivalence(f *testing.F) {
 			weights[v] = 1 + rng.Int63n(8)
 			frozen[v] = rng.Intn(8) == 0
 		}
-		b := int(budget) % 24 // 0 selects the default budget
-		m := NewMerger(g, weights, frozen, b)
+		b := int(budget) % 24
+		if b == 0 {
+			b = dfsBudget
+		}
+		m := newMerger(g, weights, frozen, b)
 		ref := newRefMerger(g, weights, frozen, b)
 		for k := 0; k < int(ops); k++ {
 			a, c := int32(rng.Intn(n)), int32(rng.Intn(n))

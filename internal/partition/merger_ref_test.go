@@ -22,12 +22,9 @@ type refMerger struct {
 	stack   []int32
 }
 
-// newRefMerger mirrors NewMerger.
+// newRefMerger mirrors newMerger.
 func newRefMerger(q *graph.Graph, weights []int64, frozen []bool, budget int) *refMerger {
 	n := q.NumNodes()
-	if budget <= 0 {
-		budget = 512
-	}
 	m := &refMerger{
 		d:       newDSU(n),
 		out:     make([]map[int32]struct{}, n),

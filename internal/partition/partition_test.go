@@ -110,7 +110,7 @@ func TestPropertyRandomDAGsStayAcyclic(t *testing.T) {
 		n := 20 + rng.Intn(200)
 		g := randomDAG(rng, n, rng.Intn(4*n))
 		max := 4 + rng.Intn(40)
-		r, err := Partition(g, Options{MaxSize: max, MergePasses: 1 + rng.Intn(4)})
+		r, err := Partition(g, Options{MaxSize: max})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestMergerIncrementalSafety(t *testing.T) {
 	g := graph.New(4) // 0=A 1=B 2=C 3=D
 	g.AddEdge(1, 2)   // B->C
 	g.AddEdge(3, 0)   // D->A
-	m := NewMerger(g, nil, nil, 0)
+	m := NewMerger(g, nil, nil)
 	if !m.TryMerge(0, 1) {
 		t.Fatal("first merge (A,B) should be safe")
 	}
@@ -181,7 +181,7 @@ func TestMergerIncrementalSafety(t *testing.T) {
 func TestMergerFrozen(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
-	m := NewMerger(g, nil, []bool{true, false, false}, 0)
+	m := NewMerger(g, nil, []bool{true, false, false})
 	if m.TryMerge(0, 1) {
 		t.Fatal("frozen group merged")
 	}
@@ -197,7 +197,7 @@ func TestMergerWeights(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	m := NewMerger(g, []int64{5, 7, 11}, nil, 0)
+	m := NewMerger(g, []int64{5, 7, 11}, nil)
 	m.Merge(0, 1)
 	if m.Weight(0) != 12 || m.Weight(1) != 12 {
 		t.Fatalf("merged weight = %d, want 12", m.Weight(0))
@@ -217,7 +217,7 @@ func TestMergerBudgetIsConservative(t *testing.T) {
 		g.AddEdge(i, i+1) // long indirect path 0 -> 1 -> ... -> n-2 -> ?
 	}
 	g.AddEdge(int32(n-2), int32(n-1))
-	m := NewMerger(g, nil, nil, 3) // budget far too small to find the path
+	m := newMerger(g, nil, nil, 3) // budget far too small to find the path
 	if m.TryMerge(0, int32(n-1)) {
 		t.Fatal("budget-limited check must refuse, not allow")
 	}
@@ -230,7 +230,7 @@ func TestPropertyMergerNeverCreatesCycle(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 10 + rng.Intn(60)
 		g := randomDAG(rng, n, rng.Intn(3*n))
-		m := NewMerger(g, nil, nil, 0)
+		m := NewMerger(g, nil, nil)
 		for k := 0; k < n; k++ {
 			a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
 			if a != b {

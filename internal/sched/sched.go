@@ -69,7 +69,7 @@ func LocalityAware(q *graph.Graph, class []int32) (*Schedule, error) {
 			byClass[cl] = append(byClass[cl], p)
 		}
 	}
-	m := partition.NewMerger(q, nil, nil, 0)
+	m := partition.NewMerger(q, nil, nil)
 	for _, members := range byClass {
 		if len(members) == 0 {
 			continue

@@ -71,9 +71,6 @@ type InputHandle struct {
 	ok   bool
 }
 
-// Valid reports whether the handle resolved to an input.
-func (h InputHandle) Valid() bool { return h.ok }
-
 // ResolveInput looks up a named input of a Program once, for use with
 // SetInputBySlot on any engine running that Program.
 func ResolveInput(p *codegen.Program, name string) (InputHandle, bool) {

@@ -34,8 +34,9 @@ func compileOpt(t testing.TB, c *circuit.Circuit, opt codegen.Options) *codegen.
 }
 
 // runFusionDiff drives a fused+packed engine, an unfused engine, and the
-// event-driven reference with identical stimulus for n cycles and
-// requires identical per-cycle outputs, identical logical state every
+// reference interpreter with identical stimulus for n cycles and requires
+// identical per-cycle outputs, every register equal to the reference's
+// every cycle, identical logical state between the two engines every
 // cycle, and identical activity counters — fusion and packing must be
 // invisible except in speed.
 func runFusionDiff(t *testing.T, c *circuit.Circuit, activity bool, n int, seed int64) {
@@ -46,13 +47,14 @@ func runFusionDiff(t *testing.T, c *circuit.Circuit, activity bool, n int, seed 
 	}
 	ef := sim.New(fused, activity)
 	ep := sim.New(plain, activity)
-	ed, err := sim.NewEventDriven(c)
+	ref, err := sim.NewRef(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	inputs := c.Inputs()
 	outputs := c.Outputs()
+	regs := c.Registers()
 	for cyc := 0; cyc < n; cyc++ {
 		for _, in := range inputs {
 			v := rng.Uint64() & circuit.Mask(c.Width[in])
@@ -62,7 +64,7 @@ func runFusionDiff(t *testing.T, c *circuit.Circuit, activity bool, n int, seed 
 			name := c.Names[in]
 			for _, e := range []interface {
 				SetInput(string, uint64) error
-			}{ef, ep, ed} {
+			}{ef, ep, ref} {
 				if err := e.SetInput(name, v); err != nil {
 					t.Fatal(err)
 				}
@@ -70,15 +72,23 @@ func runFusionDiff(t *testing.T, c *circuit.Circuit, activity bool, n int, seed 
 		}
 		ef.Step()
 		ep.Step()
-		ed.Step()
+		ref.Step()
 		for _, out := range outputs {
 			name := c.Names[out]
-			want, _ := ed.Output(name)
+			want, _ := ref.Output(name)
 			gotF, _ := ef.Output(name)
 			gotP, _ := ep.Output(name)
 			if gotF != want || gotP != want {
 				t.Fatalf("%s cycle %d output %q: fused %#x, unfused %#x, reference %#x",
 					c.Name, cyc, name, gotF, gotP, want)
+			}
+		}
+		for _, r := range regs {
+			want := ref.Value(r)
+			gotF, gotP := ef.Slot(fused.SlotOfNode[r]), ep.Slot(plain.SlotOfNode[r])
+			if gotF != want || gotP != want {
+				t.Fatalf("%s cycle %d register %q: fused %#x, unfused %#x, reference %#x",
+					c.Name, cyc, c.Names[r], gotF, gotP, want)
 			}
 		}
 		// Full logical state, compared per NODE: packing changes slot
@@ -115,8 +125,8 @@ func TestFusionDifferential(t *testing.T) {
 // FuzzLowerFusion fuzzes the superinstruction-fusion and 1-bit-packing
 // lowering: for fuzzer-chosen design shapes and stimulus seeds, a fused+
 // packed program must stay cycle-exact (outputs, full logical state, and
-// activity counters) with the unfused program and the event-driven
-// reference.
+// activity counters) with the unfused program, and every register with
+// the reference interpreter.
 func FuzzLowerFusion(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(8), int64(1), true)
 	f.Add(uint8(0), uint8(1), uint8(10), int64(42), false)

@@ -13,8 +13,9 @@ import (
 )
 
 // VCDWriter dumps named signals to a Value Change Dump file (IEEE 1364),
-// the interchange format every waveform viewer reads. It works with any
-// of the three simulators through the small probe interface.
+// the interchange format every waveform viewer reads. It works with the
+// reference interpreter and any compiled engine through the small probe
+// interface.
 //
 // Usage:
 //

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strconv"
 	"strings"
 	"time"
@@ -72,7 +73,7 @@ func (r *Router) journalLocked(rec durable.PlacementRecord) {
 		return
 	}
 	r.appends++
-	if err := r.store.AppendPlacement(rec); err != nil {
+	if err := r.store.AppendPlacement(rec); err != nil && !errors.Is(err, durable.ErrFrozen) {
 		r.logf("cluster: placement journal: %v", err)
 	}
 }

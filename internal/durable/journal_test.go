@@ -240,7 +240,7 @@ func TestJournalCompact(t *testing.T) {
 }
 
 // TestJournalFreezeAndAbandon: Freeze keeps already-appended records but
-// drops later appends; Abandon additionally drops buffered records
+// refuses later appends with ErrFrozen; Abandon additionally drops buffered records
 // (SIGKILL semantics under FsyncInterval's group commit).
 func TestJournalFreezeAndAbandon(t *testing.T) {
 	dir := t.TempDir()
@@ -249,8 +249,8 @@ func TestJournalFreezeAndAbandon(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Freeze()
-	if err := s.Append(Record{Type: RecFinish, Job: "job-1", Status: "done"}); err != nil {
-		t.Fatal(err)
+	if err := s.Append(Record{Type: RecFinish, Job: "job-1", Status: "done"}); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("append to a frozen store: err = %v, want ErrFrozen", err)
 	}
 	if err := s.SaveCheckpoint("job-1", []byte("ckpt")); err != nil {
 		t.Fatal(err)

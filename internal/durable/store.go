@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -225,9 +226,14 @@ func (s *Store) rewindLocked(info ReplayInfo) error {
 	return nil
 }
 
+// ErrFrozen is returned by Append and AppendPlacement once the store is
+// frozen: the record was not written and never will be.
+var ErrFrozen = errors.New("durable: store frozen")
+
 // Append journals one record under the configured fsync policy. Errors
 // are returned for accounting but the store stays usable — durability
-// degrades to best-effort if the disk misbehaves. No-op once frozen.
+// degrades to best-effort if the disk misbehaves. Once frozen it writes
+// nothing and returns ErrFrozen.
 func (s *Store) Append(r Record) error {
 	buf, err := encodeRecord(r)
 	if err != nil {
@@ -249,7 +255,7 @@ func (s *Store) appendBuf(buf []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.frozen {
-		return nil
+		return ErrFrozen
 	}
 	if _, err := s.w.Write(buf); err != nil {
 		return fmt.Errorf("durable: append: %w", err)

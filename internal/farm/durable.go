@@ -2,6 +2,7 @@ package farm
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -377,16 +378,19 @@ func (f *Farm) persistArtifact(key CacheKey, data []byte) {
 	}
 }
 
-// journal appends one record (no-op without a store). Append errors are
-// counted, not propagated: a sick disk degrades durability, it does not
-// take down running simulations.
-func (f *Farm) journal(r durable.Record) {
+// journal appends one record (no-op without a store). Disk errors are
+// counted, not acted on: a sick disk degrades durability, it does not
+// take down running simulations. The error is returned so the finish
+// path can tell a frozen store (durable.ErrFrozen) from a written record.
+func (f *Farm) journal(r durable.Record) error {
 	if f.store == nil {
-		return
+		return nil
 	}
-	if err := f.store.Append(r); err != nil {
+	err := f.store.Append(r)
+	if err != nil && !errors.Is(err, durable.ErrFrozen) {
 		f.durableErrs.Add(1)
 	}
+	return err
 }
 
 // marshalAdmit encodes a spec for its admit record (nil without a store,
@@ -421,26 +425,28 @@ func (f *Farm) journalStart(j *Job) {
 	f.journal(durable.Record{Type: durable.RecStart, Job: j.ID})
 }
 
-// journalFinish journals a terminal transition and deletes the job's
-// persisted checkpoint. Shutdown-induced cancellations never get here
-// with a live store — Close freezes it first — so jobs canceled by the
-// shutdown itself re-admit on restart (at-least-once semantics).
-func (f *Farm) journalFinish(j *Job, status Status) {
+// journalFinish journals a terminal transition, before it is published,
+// and deletes the job's persisted checkpoint. It reports false when the
+// store is frozen: Close or Kill has begun, the record cannot be made
+// durable, and the job must re-admit on restart instead of finishing
+// (at-least-once semantics).
+func (f *Farm) journalFinish(id string, status Status, err error) bool {
 	if f.store == nil {
-		return
+		return true
 	}
 	t := durable.RecFinish
 	if status == StatusCanceled {
 		t = durable.RecCancel
 	}
-	j.mu.Lock()
 	errMsg := ""
-	if j.err != nil {
-		errMsg = j.err.Error()
+	if err != nil {
+		errMsg = err.Error()
 	}
-	j.mu.Unlock()
-	f.journal(durable.Record{Type: t, Job: j.ID, Status: string(status), Error: errMsg})
-	f.store.RemoveCheckpoint(j.ID)
+	if errors.Is(f.journal(durable.Record{Type: t, Job: id, Status: string(status), Error: errMsg}), durable.ErrFrozen) {
+		return false
+	}
+	f.store.RemoveCheckpoint(id)
+	return true
 }
 
 // recordCheckpoint installs a job's new resume point and, with a store,

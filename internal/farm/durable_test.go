@@ -200,7 +200,10 @@ func TestFarmKillRestartChaos(t *testing.T) {
 	vcds := map[string][]byte{}
 	// sweep records every job that reached Done on this instance. Jobs
 	// the kill left unfinished (or canceled) re-admit on the next Open.
+	// Done is published only after its finish record is journaled, so
+	// every Done job must have one.
 	sweep := func(f *Farm) {
+		finished := journaledFinishes(t, dir)
 		for _, j := range f.Jobs() {
 			v := j.View()
 			if v.Status != StatusDone {
@@ -208,6 +211,9 @@ func TestFarmKillRestartChaos(t *testing.T) {
 			}
 			if _, seen := results[v.ID]; seen {
 				continue
+			}
+			if !finished[v.ID] {
+				t.Errorf("job %s is Done but its finish record is not in the journal", v.ID)
 			}
 			results[v.ID] = v
 			if v.HasVCD {
@@ -220,8 +226,15 @@ func TestFarmKillRestartChaos(t *testing.T) {
 	const rounds = 3
 	for round := 0; round < rounds; round++ {
 		// Kill only once some still-running job has a checkpoint on disk,
-		// so each crash has recoverable progress to lose or resume.
+		// so each crash has recoverable progress to lose or resume, and
+		// once a compile reached the warm tier. A job sharing an
+		// in-flight compile can checkpoint before the compiling job
+		// persists the cache entry; a kill in that window loses the
+		// entry, and a restart has nothing to warm from.
 		killable := func() bool {
+			if ents, _ := filepath.Glob(filepath.Join(dir, "cache", "*.json")); len(ents) == 0 {
+				return false
+			}
 			for _, j := range f.Jobs() {
 				v := j.View()
 				if _, seen := results[v.ID]; seen || v.Status.Terminal() {
@@ -304,6 +317,26 @@ func TestFarmKillRestartChaos(t *testing.T) {
 	}
 	t.Logf("chaos: %d jobs, %d recovered across restarts, %d cycles saved by resume, %d warm cache hits",
 		len(specs), totalRecovered, totalSaved, totalWarmHits)
+}
+
+// journaledFinishes replays the journal in the data dir of a killed farm
+// and returns the IDs of the jobs with a finish record.
+func journaledFinishes(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	store, err := durable.OpenStore(durable.Options{Dir: dir, Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	finished := map[string]bool{}
+	if _, err := store.Replay(func(r durable.Record) {
+		if r.Type == durable.RecFinish {
+			finished[r.Job] = true
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return finished
 }
 
 // TestFarmRecoveryTornJournalTail: bytes chopped off the journal's tail

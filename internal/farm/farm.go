@@ -477,7 +477,7 @@ func (f *Farm) Close() {
 	// Whatever never reached a worker is canceled (finish is a no-op for
 	// jobs Cancel already made terminal).
 	for _, j := range pending {
-		f.finish(j, StatusCanceled, nil, errors.New("farm shut down"))
+		f.finish(j, StatusCanceled, errShutDown)
 	}
 	if f.store != nil {
 		f.store.Close()
@@ -747,9 +747,9 @@ func (f *Farm) Cancel(id string) error {
 		// job concurrently must observe either Queued (and run it) or
 		// Canceled (and skip it) — never flip it to Canceled after the
 		// worker already moved it to Running.
-		f.finishLocked(j, StatusCanceled, nil, errors.New("canceled while queued"))
+		f.finishLocked(j, StatusCanceled, errors.New("canceled while queued"))
 		j.mu.Unlock()
-		f.accountFinish(j, StatusCanceled)
+		f.accountFinish(j)
 	default:
 		if j.cancel != nil {
 			j.cancel()
@@ -1092,23 +1092,26 @@ func (f *Farm) requeueParked(j *Job) {
 func (f *Farm) finishRun(j *Job, err error, timeout time.Duration) {
 	switch {
 	case err == nil:
-		f.finish(j, StatusDone, nil, nil)
+		f.finish(j, StatusDone, nil)
 	case errors.Is(err, context.Canceled):
-		f.finish(j, StatusCanceled, nil, errors.New("canceled"))
+		f.finish(j, StatusCanceled, errors.New("canceled"))
 	case errors.Is(err, context.DeadlineExceeded):
-		f.finish(j, StatusFailed, nil, fmt.Errorf("timeout after %s", timeout))
+		f.finish(j, StatusFailed, fmt.Errorf("timeout after %s", timeout))
 	default:
-		f.finish(j, StatusFailed, nil, err)
+		f.finish(j, StatusFailed, err)
 	}
 }
 
+// errShutDown ends the jobs a shutdown stops before they finish.
+var errShutDown = errors.New("farm shut down")
+
 // finish moves a job to a terminal status exactly once.
-func (f *Farm) finish(j *Job, status Status, stats *SimStats, err error) {
+func (f *Farm) finish(j *Job, status Status, err error) {
 	j.mu.Lock()
-	ok := f.finishLocked(j, status, stats, err)
+	ok := f.finishLocked(j, status, err)
 	j.mu.Unlock()
 	if ok {
-		f.accountFinish(j, status)
+		f.accountFinish(j)
 	}
 }
 
@@ -1116,14 +1119,23 @@ func (f *Farm) finish(j *Job, status Status, stats *SimStats, err error) {
 // reporting whether this call was the one that made the job terminal.
 // The caller must follow up with accountFinish (outside j.mu) when it
 // returns true.
-func (f *Farm) finishLocked(j *Job, status Status, stats *SimStats, err error) bool {
+//
+// The transition is journaled before it is published, so a status a
+// client can see is already on disk. Once Close or Kill has frozen the
+// store nothing more can be made durable: the job then ends canceled by
+// the shutdown, its result discarded and unjournaled, and it re-admits
+// on restart.
+func (f *Farm) finishLocked(j *Job, status Status, err error) bool {
 	if j.status.Terminal() {
 		return false
 	}
-	j.status = status
-	if stats != nil {
-		j.stats = stats
+	if !f.journalFinish(j.ID, status, err) {
+		if status != StatusCanceled {
+			status, err = StatusCanceled, errShutDown
+		}
+		j.stats, j.vcd = nil, nil
 	}
+	j.status = status
 	j.err = err
 	j.finished = time.Now()
 	// Terminal jobs are retained for the API; their checkpoint is not.
@@ -1134,15 +1146,15 @@ func (f *Farm) finishLocked(j *Job, status Status, stats *SimStats, err error) b
 	return true
 }
 
-// accountFinish updates the farm counters for one terminal transition,
-// journals it, and prunes the oldest-finished jobs beyond the retention
-// cap so the jobs map (and its stats/VCD buffers) can't grow without
-// bound.
-func (f *Farm) accountFinish(j *Job, status Status) {
+// accountFinish updates the farm counters for one terminal transition
+// and prunes the oldest-finished jobs beyond the retention cap so the
+// jobs map (and its stats/VCD buffers) can't grow without bound.
+func (f *Farm) accountFinish(j *Job) {
+	j.mu.Lock()
+	status := j.status
+	e2e := j.finished.Sub(j.created)
+	j.mu.Unlock()
 	if status == StatusDone {
-		j.mu.Lock()
-		e2e := j.finished.Sub(j.created)
-		j.mu.Unlock()
 		f.obs.e2e.Observe(e2e)
 	}
 	f.mu.Lock()
@@ -1175,7 +1187,4 @@ func (f *Farm) accountFinish(j *Job, status Status) {
 	}
 	f.mu.Unlock()
 	f.cfg.Tenants.NoteFinished(j.Spec.Tenant, string(status))
-	// Journaled outside f.mu: an fsync-per-record policy must not stall
-	// submissions and stats behind a disk write.
-	f.journalFinish(j, status)
 }

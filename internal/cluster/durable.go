@@ -68,12 +68,12 @@ func (r *Router) bumpSeqLocked() int64 {
 // Best-effort by design, like the farm's journal writes: a full disk
 // must degrade the router to in-memory behaviour, not take the fleet
 // down.
-func (r *Router) journalLocked(rec durable.PlacementRecord) {
+func (r *Router) journalLocked(rec durable.Record) {
 	if r.store == nil {
 		return
 	}
 	r.appends++
-	if err := r.store.AppendPlacement(rec); err != nil && !errors.Is(err, durable.ErrFrozen) {
+	if err := r.store.Append(rec); err != nil && !errors.Is(err, durable.ErrFrozen) {
 		r.logf("cluster: placement journal: %v", err)
 	}
 }
@@ -87,9 +87,9 @@ func (r *Router) journalAdmitLocked(fj *fleetJob, spilled bool) {
 	if err != nil {
 		return
 	}
-	r.journalLocked(durable.PlacementRecord{Type: durable.PRecAdmit, Job: fj.id, Spec: b, Key: fj.routeKey})
-	r.journalLocked(durable.PlacementRecord{
-		Type: durable.PRecPlace, Job: fj.id, Node: fj.node, Remote: fj.remoteID, Spilled: spilled,
+	r.journalLocked(durable.Record{Type: durable.RecAdmit, Job: fj.id, Spec: b, Key: fj.routeKey})
+	r.journalLocked(durable.Record{
+		Type: durable.RecPlace, Job: fj.id, Node: fj.node, Remote: fj.remoteID, Spilled: spilled,
 	})
 }
 
@@ -144,9 +144,9 @@ func (r *Router) recoverFromStore() error {
 	var jobOrder []string
 	var maxID int64
 
-	info, err := r.store.ReplayPlacements(func(p durable.PlacementRecord) {
+	info, err := r.store.Replay(func(p durable.Record) {
 		switch p.Type {
-		case durable.PRecNode:
+		case durable.RecNode:
 			if p.Node == "" || p.Addr == "" {
 				return
 			}
@@ -157,12 +157,12 @@ func (r *Router) recoverFromStore() error {
 				nodeOrder = append(nodeOrder, p.Node)
 			}
 			rec.NodeRecordsReplayed++
-		case durable.PRecNodeDead:
+		case durable.RecNodeDead:
 			if n, ok := nodes[p.Node]; ok {
 				n.dead = true
 			}
 			rec.NodeRecordsReplayed++
-		case durable.PRecAdmit:
+		case durable.RecAdmit:
 			if p.Job == "" || len(p.Spec) == 0 {
 				return
 			}
@@ -176,7 +176,7 @@ func (r *Router) recoverFromStore() error {
 				}
 			}
 			rec.PlacementsReplayed++
-		case durable.PRecPlace:
+		case durable.RecPlace:
 			if j, ok := jobs[p.Job]; ok {
 				j.node, j.remote, j.orphaned = p.Node, p.Remote, false
 				if p.Migrations > j.migrations {
@@ -186,18 +186,18 @@ func (r *Router) recoverFromStore() error {
 				}
 			}
 			rec.PlacementsReplayed++
-		case durable.PRecOrphan:
+		case durable.RecOrphan:
 			if j, ok := jobs[p.Job]; ok {
 				j.orphaned = true
 			}
 			rec.PlacementsReplayed++
-		case durable.PRecMigrate:
+		case durable.RecMigrate:
 			if j, ok := jobs[p.Job]; ok {
 				j.node, j.remote, j.orphaned = p.Node, p.Remote, false
 				j.migrations++
 			}
 			rec.PlacementsReplayed++
-		case durable.PRecFinish:
+		case durable.RecFinish:
 			if j, ok := jobs[p.Job]; ok {
 				j.terminal = true
 				j.status = p.Status
@@ -359,12 +359,12 @@ func (r *Router) compactJournal() error {
 		return nil
 	}
 	r.mu.Lock()
-	var live []durable.PlacementRecord
+	var live []durable.Record
 	for _, v := range r.registry.Views() {
 		if v.State == NodeDead {
 			continue
 		}
-		live = append(live, durable.PlacementRecord{Type: durable.PRecNode, Node: v.ID, Addr: v.Addr})
+		live = append(live, durable.Record{Type: durable.RecNode, Node: v.ID, Addr: v.Addr})
 	}
 	for _, id := range r.order {
 		fj := r.jobs[id]
@@ -375,18 +375,18 @@ func (r *Router) compactJournal() error {
 		if err != nil {
 			continue
 		}
-		live = append(live, durable.PlacementRecord{Type: durable.PRecAdmit, Job: id, Spec: b, Key: fj.routeKey})
+		live = append(live, durable.Record{Type: durable.RecAdmit, Job: id, Spec: b, Key: fj.routeKey})
 		if fj.node != "" {
-			live = append(live, durable.PlacementRecord{
-				Type: durable.PRecPlace, Job: id, Node: fj.node, Remote: fj.remoteID, Migrations: fj.migrations,
+			live = append(live, durable.Record{
+				Type: durable.RecPlace, Job: id, Node: fj.node, Remote: fj.remoteID, Migrations: fj.migrations,
 			})
 		}
 		if fj.orphaned {
-			live = append(live, durable.PlacementRecord{Type: durable.PRecOrphan, Job: id, Node: fj.node})
+			live = append(live, durable.Record{Type: durable.RecOrphan, Job: id, Node: fj.node})
 		}
 	}
 	r.mu.Unlock()
-	return r.store.CompactPlacements(live)
+	return r.store.Compact(live)
 }
 
 // RecoveryStats returns what the last OpenRouter replayed (nil for a

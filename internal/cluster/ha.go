@@ -185,7 +185,7 @@ func (r *Router) applyPeerDelta(p *peerState, d PlacementDelta) {
 			r.registry.markDead(n.ID)
 			continue
 		}
-		r.journalLocked(durable.PlacementRecord{Type: durable.PRecNode, Node: n.ID, Addr: n.Addr})
+		r.journalLocked(durable.Record{Type: durable.RecNode, Node: n.ID, Addr: n.Addr})
 		r.logf("cluster: adopted node %s at %s from peer %s", n.ID, n.Addr, d.RouterID)
 	}
 
@@ -273,21 +273,21 @@ func (r *Router) journalAdoptedLocked(fj *fleetJob) {
 		return
 	}
 	if fj.terminal {
-		r.journalLocked(durable.PlacementRecord{Type: durable.PRecFinish, Job: fj.id, Status: string(fj.view.Status)})
+		r.journalLocked(durable.Record{Type: durable.RecFinish, Job: fj.id, Status: string(fj.view.Status)})
 		return
 	}
 	b, err := json.Marshal(fj.spec)
 	if err != nil {
 		return
 	}
-	r.journalLocked(durable.PlacementRecord{Type: durable.PRecAdmit, Job: fj.id, Spec: b, Key: fj.routeKey})
+	r.journalLocked(durable.Record{Type: durable.RecAdmit, Job: fj.id, Spec: b, Key: fj.routeKey})
 	if fj.node != "" {
-		r.journalLocked(durable.PlacementRecord{
-			Type: durable.PRecPlace, Job: fj.id, Node: fj.node, Remote: fj.remoteID, Migrations: fj.migrations,
+		r.journalLocked(durable.Record{
+			Type: durable.RecPlace, Job: fj.id, Node: fj.node, Remote: fj.remoteID, Migrations: fj.migrations,
 		})
 	}
 	if fj.orphaned {
-		r.journalLocked(durable.PlacementRecord{Type: durable.PRecOrphan, Job: fj.id, Node: fj.node})
+		r.journalLocked(durable.Record{Type: durable.RecOrphan, Job: fj.id, Node: fj.node})
 	}
 }
 

@@ -162,14 +162,14 @@ func (r *Router) applyProbes(results []probeResult, now time.Time) []ckptPull {
 		}
 	}
 	for _, id := range newlyDead {
-		r.journalLocked(durable.PlacementRecord{Type: durable.PRecNodeDead, Node: id})
+		r.journalLocked(durable.Record{Type: durable.RecNodeDead, Node: id})
 		orphans := 0
 		for _, fj := range r.jobs {
 			if fj.node == id && !fj.terminal {
 				fj.orphaned = true
 				fj.rev++
 				fj.seq = r.bumpSeqLocked()
-				r.journalLocked(durable.PlacementRecord{Type: durable.PRecOrphan, Job: fj.id, Node: id})
+				r.journalLocked(durable.Record{Type: durable.RecOrphan, Job: fj.id, Node: id})
 				fj.trace.Instant("orphaned", "node", id, "cause", "node-death")
 				orphans++
 			}
@@ -301,8 +301,8 @@ func (r *Router) migrateOrphans(ctx context.Context) {
 			fj.seq = r.bumpSeqLocked()
 			m.load++
 			r.migrations++
-			r.journalLocked(durable.PlacementRecord{
-				Type: durable.PRecMigrate, Job: fj.id, Node: m.id, From: from,
+			r.journalLocked(durable.Record{
+				Type: durable.RecMigrate, Job: fj.id, Node: m.id, From: from,
 				Remote: view.ID, Cycle: fj.ckptCycle,
 			})
 			r.ensureWatchLocked(fj)

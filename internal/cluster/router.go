@@ -390,7 +390,7 @@ func (r *Router) Register(id, addr string) error {
 	if err := r.registry.Register(id, addr, time.Now()); err != nil {
 		return err
 	}
-	r.journalLocked(durable.PlacementRecord{Type: durable.PRecNode, Node: id, Addr: addr})
+	r.journalLocked(durable.Record{Type: durable.RecNode, Node: id, Addr: addr})
 	r.logf("cluster: node %s registered at %s", id, addr)
 	return nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -527,5 +528,83 @@ func TestClusterTwoRouters(t *testing.T) {
 	ra.WriteStatus(&buf)
 	if !strings.Contains(buf.String(), "peer: router rb") {
 		t.Errorf("/statusz does not report the peer router:\n%s", buf.String())
+	}
+}
+
+// TestRouterRecoversPlacementJournal replays a placement journal holding
+// every record type and checks the folded state. n2 died before the
+// restart, and n1 does not answer the recovery probe. So both unfinished
+// jobs orphan: fj-1 where it was placed and fj-2 after its one migration.
+// fj-3 is a finished tombstone.
+func TestRouterRecoversPlacementJournal(t *testing.T) {
+	dataDir := t.TempDir()
+	store, err := durable.OpenRouterStore(durable.Options{Dir: dataDir, Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := json.RawMessage(`{"design":"Rocket-2C","scale":0.1,"cycles":2000}`)
+	for _, rec := range []durable.Record{
+		{Type: durable.RecNode, Node: "n1", Addr: "http://127.0.0.1:1"},
+		{Type: durable.RecNode, Node: "n2", Addr: "http://127.0.0.1:2"},
+		{Type: durable.RecAdmit, Job: "fj-1", Spec: spec, Key: "k1"},
+		{Type: durable.RecPlace, Job: "fj-1", Node: "n1", Remote: "job-1"},
+		{Type: durable.RecAdmit, Job: "fj-2", Spec: spec, Key: "k1"},
+		{Type: durable.RecPlace, Job: "fj-2", Node: "n2", Remote: "job-1", Spilled: true},
+		{Type: durable.RecNodeDead, Node: "n2"},
+		{Type: durable.RecOrphan, Job: "fj-2", Node: "n2"},
+		{Type: durable.RecMigrate, Job: "fj-2", Node: "n1", From: "n2", Remote: "job-2", Cycle: 512},
+		{Type: durable.RecAdmit, Job: "fj-3", Spec: spec, Key: "k1"},
+		{Type: durable.RecPlace, Job: "fj-3", Node: "n1", Remote: "job-3"},
+		{Type: durable.RecFinish, Job: "fj-3", Status: "done"},
+	} {
+		if err := store.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenRouter(RouterConfig{
+		HeartbeatEvery: time.Hour,
+		ProbeTimeout:   time.Second,
+		DataDir:        dataDir,
+		Fsync:          durable.FsyncAlways,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rec := r.RecoveryStats()
+	if rec.PlacementsReplayed != 9 || rec.NodeRecordsReplayed != 3 || rec.JobsRecovered != 3 ||
+		rec.NodesReadopted != 0 || rec.NodesLostWhileDown != 1 || rec.JournalBytesDropped != 0 {
+		t.Fatalf("recovery = %+v, want 9 placement and 3 node records, 3 jobs, n1 lost", rec)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, w := range []struct {
+		id, node, remote string
+		migrations       int
+		orphaned         bool
+		status           farm.Status
+	}{
+		{"fj-1", "n1", "job-1", 0, true, ""},
+		{"fj-2", "n1", "job-2", 1, true, ""},
+		{"fj-3", "n1", "job-3", 0, false, farm.StatusDone},
+	} {
+		fj := r.jobs[w.id]
+		if fj == nil {
+			t.Errorf("%s not recovered", w.id)
+			continue
+		}
+		if fj.node != w.node || fj.remoteID != w.remote || fj.migrations != w.migrations ||
+			fj.orphaned != w.orphaned || fj.terminal != (w.status != "") || fj.view.Status != w.status {
+			t.Errorf("%s recovered on %s as %s (migrations %d, orphaned %v, terminal %v, status %q), want %+v",
+				w.id, fj.node, fj.remoteID, fj.migrations, fj.orphaned, fj.terminal, fj.view.Status, w)
+		}
+	}
+	if r.nextID != 3 {
+		t.Errorf("nextID = %d, want 3 (fleet IDs continue past the journal's)", r.nextID)
 	}
 }

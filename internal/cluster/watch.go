@@ -110,8 +110,8 @@ func (r *Router) finishLocked(fj *fleetJob, now time.Time) {
 	}
 	fj.rev++
 	fj.seq = r.bumpSeqLocked()
-	r.journalLocked(durable.PlacementRecord{
-		Type: durable.PRecFinish, Job: fj.id, Status: string(fj.view.Status),
+	r.journalLocked(durable.Record{
+		Type: durable.RecFinish, Job: fj.id, Status: string(fj.view.Status),
 	})
 	if r.store != nil {
 		// A finished job's checkpoint is dead weight: drop it so the data

@@ -1,6 +1,7 @@
-// Package durable is the farm's crash-safety layer: a write-ahead job
-// journal, a persistent checkpoint store, and a disk-backed tier for the
-// compile cache, all under one data directory. The paper's headline win
+// Package durable is the crash-safety layer of the farm and the fleet
+// router: a write-ahead journal (jobs for a farm, placements for a
+// router), a persistent checkpoint store, and disk-backed tiers for the
+// compile cache and its artifacts, all under one data directory. The paper's headline win
 // is batch throughput over long campaigns (Section 6.6 runs for days);
 // a campaign that outlives any single process needs its admitted jobs,
 // checkpoints, and compiled-design knowledge to survive a restart.
@@ -27,13 +28,30 @@ import (
 	"hash/crc32"
 )
 
-// Journal format version. Bump on any incompatible layout change;
-// OpenStore refuses journals from other versions (ErrIncompatibleVersion)
-// so an operator never silently replays records it would misread.
-const JournalVersion = 1
+// Journal format versions. Bump on any incompatible layout change;
+// OpenStore and OpenRouterStore refuse journals from other versions
+// (ErrIncompatibleVersion) so an operator never silently replays records
+// it would misread.
+const (
+	JournalVersion          = 1
+	PlacementJournalVersion = 1
+)
 
-// journalMagic opens every journal file ("DSJL": DedupSim JournaL).
-var journalMagic = [4]byte{'D', 'S', 'J', 'L'}
+// journalKind names one of the two journals sharing this package's
+// framing: the farm's job journal ("DSJL": DedupSim JournaL) and the
+// router's placement journal ("DSPL": DedupSim PLacements). Distinct
+// magics and file names mean a data directory can never be opened as the
+// wrong tier and misread.
+type journalKind struct {
+	file    string
+	magic   [4]byte
+	version uint32
+}
+
+var (
+	jobJournal       = journalKind{file: "journal.wal", magic: [4]byte{'D', 'S', 'J', 'L'}, version: JournalVersion}
+	placementJournal = journalKind{file: "placements.wal", magic: [4]byte{'D', 'S', 'P', 'L'}, version: PlacementJournalVersion}
+)
 
 // headerSize is the journal file header: 4-byte magic + uint32 version.
 const headerSize = 8
@@ -54,7 +72,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Errors an operator must act on (everything else degrades gracefully).
 var (
 	// ErrNotJournal reports a journal file that does not start with the
-	// journal magic — the data directory holds something else.
+	// expected journal magic — the data directory holds something else.
 	ErrNotJournal = errors.New("not a dedupsim journal")
 	// ErrIncompatibleVersion reports a journal written by an incompatible
 	// format version of this package.
@@ -64,32 +82,67 @@ var (
 // RecType labels a journal record.
 type RecType string
 
-// The journal's record vocabulary, mirroring a job's lifecycle. A job
-// whose newest record is admit/start/ckpt is unfinished and is re-admitted
-// on recovery; finish and cancel are terminal.
+// The job journal's vocabulary (OpenStore) mirrors a job's lifecycle: a
+// job whose admit has no later finish or cancel is unfinished and is
+// re-admitted on recovery.
 const (
-	RecAdmit      RecType = "admit"  // job accepted; Spec carries the JobSpec JSON
-	RecStart      RecType = "start"  // an attempt began running
-	RecCheckpoint RecType = "ckpt"   // a checkpoint at Cycle was persisted
-	RecFinish     RecType = "finish" // terminal: done or failed (Status, Error)
-	RecCancel     RecType = "cancel" // terminal: canceled
+	RecAdmit  RecType = "admit"  // job accepted: Spec carries the JobSpec JSON (router: plus its routing Key)
+	RecFinish RecType = "finish" // terminal: done or failed (Status, Error)
+	RecCancel RecType = "cancel" // terminal: canceled
+	// RecCheckpoint names a checkpoint at Cycle. Recovery finds a
+	// checkpoint on disk by job ID, so replay skips this record, as it
+	// skips the "start" records older journals hold; bench's append
+	// probe writes it as a fixed-size record.
+	RecCheckpoint RecType = "ckpt"
 )
 
-// Record is one journal entry. The payload is JSON (self-describing and
-// forward-compatible: unknown fields are ignored on replay) inside a
-// binary length+CRC frame (torn tails and bit flips are detected without
-// trusting the payload).
+// The placement journal's vocabulary (OpenRouterStore) adds node
+// membership and a fleet job's placement lifecycle to RecAdmit and
+// RecFinish. A job whose newest records leave it non-terminal is
+// re-tracked on recovery; a job placed on a node that died while the
+// router was down is orphaned and re-migrated.
+const (
+	RecNode     RecType = "node"      // a node registered (Node, Addr)
+	RecNodeDead RecType = "node-dead" // a node died (Node); its unfinished jobs orphan
+	RecPlace    RecType = "place"     // Job landed on Node as Remote (Spilled: off its key's primary)
+	RecOrphan   RecType = "orphan"    // Job's owner Node died before the job finished
+	RecMigrate  RecType = "migrate"   // Job moved From a dead node to Node as Remote, resuming at Cycle
+)
+
+// Record is one entry of either journal. The payload is JSON
+// (self-describing and forward-compatible: unknown fields are ignored on
+// replay) inside a binary length+CRC frame (torn tails and bit flips are
+// detected without trusting the payload). Every field is omitempty and
+// the field order is fixed, so a record encodes to the same bytes
+// whichever vocabulary it belongs to.
 type Record struct {
 	Type RecType `json:"t"`
 	Job  string  `json:"job,omitempty"`
-	// Spec is the admitted JobSpec (RecAdmit only), kept as raw JSON so
-	// this package does not depend on the farm's types.
+	// Spec is the admitted JobSpec (RecAdmit), kept as raw JSON so this
+	// package does not depend on the farm's types.
 	Spec json.RawMessage `json:"spec,omitempty"`
-	// Cycle is the checkpointed cycle count (RecCheckpoint only).
+	// Key is the job's placement routing key (router RecAdmit).
+	Key string `json:"key,omitempty"`
+	// Node is the registrant (RecNode, RecNodeDead), the placement target
+	// (RecPlace, RecMigrate), or the dead owner (RecOrphan).
+	Node string `json:"node,omitempty"`
+	// Addr is the node's base URL (RecNode).
+	Addr string `json:"addr,omitempty"`
+	// Remote is the job's ID on its owner node (RecPlace, RecMigrate).
+	Remote string `json:"remote,omitempty"`
+	// From is the previous owner (RecMigrate).
+	From string `json:"from,omitempty"`
+	// Cycle is the checkpoint cycle a migration resumed from (RecMigrate).
 	Cycle int64 `json:"cycle,omitempty"`
-	// Status and Error describe the terminal state (RecFinish/RecCancel).
+	// Migrations carries a job's re-placement count through compaction,
+	// which folds its RecMigrate history into one RecPlace.
+	Migrations int `json:"migs,omitempty"`
+	// Status and Error describe the terminal state (RecFinish, RecCancel).
 	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
+	// Spilled marks a placement off the key's primary ring owner
+	// (RecPlace).
+	Spilled bool `json:"spilled,omitempty"`
 }
 
 // ReplayInfo summarizes one journal scan.
@@ -111,11 +164,6 @@ func encodeRecord(r Record) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("durable: encode record: %w", err)
 	}
-	return encodePayload(payload)
-}
-
-// encodePayload frames an already-marshaled payload.
-func encodePayload(payload []byte) ([]byte, error) {
 	if len(payload) > MaxRecordLen {
 		return nil, fmt.Errorf("durable: record payload %d bytes exceeds max %d", len(payload), MaxRecordLen)
 	}
@@ -126,46 +174,6 @@ func encodePayload(payload []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// scanFrames walks framed payloads in data, calling accept for each
-// CRC-valid payload. accept returns false when the payload does not
-// decode as a record of the expected vocabulary; the scan stops there,
-// exactly as it stops at a torn or corrupt frame. Shared by the job and
-// placement journals — the framing is identical, only the payload
-// vocabulary differs.
-func scanFrames(data []byte, accept func(payload []byte) bool) ReplayInfo {
-	var info ReplayInfo
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			break // clean end
-		}
-		if len(rest) < frameSize {
-			break // torn frame header
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		want := binary.LittleEndian.Uint32(rest[4:8])
-		if n > MaxRecordLen {
-			break // corrupt length field
-		}
-		if len(rest) < frameSize+int(n) {
-			break // torn payload
-		}
-		payload := rest[frameSize : frameSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != want {
-			break // bit flip
-		}
-		if !accept(payload) {
-			break // CRC-valid but not a record we understand
-		}
-		off += frameSize + int(n)
-		info.Records++
-	}
-	info.ValidBytes = int64(off)
-	info.DroppedBytes = int64(len(data) - off)
-	return info
-}
-
 // DecodeRecords scans framed records from data (the journal body, after
 // the file header). It decodes the longest valid prefix and stops at the
 // first frame that is truncated (a torn tail) or fails its CRC or JSON
@@ -174,15 +182,28 @@ func scanFrames(data []byte, accept func(payload []byte) bool) ReplayInfo {
 // regardless of input.
 func DecodeRecords(data []byte) ([]Record, ReplayInfo) {
 	var recs []Record
-	info := scanFrames(data, func(payload []byte) bool {
+	off := 0
+	for {
+		rest := data[off:]
+		if len(rest) < frameSize {
+			break // clean end or torn frame header
+		}
+		n := binary.LittleEndian.Uint32(rest[0:4])
+		if n > MaxRecordLen || len(rest) < frameSize+int(n) {
+			break // corrupt length field or torn payload
+		}
+		payload := rest[frameSize : frameSize+int(n)]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
+			break // bit flip
+		}
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil || r.Type == "" {
-			return false
+			break // CRC-valid but not a record we understand
 		}
 		recs = append(recs, r)
-		return true
-	})
-	return recs, info
+		off += frameSize + int(n)
+	}
+	return recs, ReplayInfo{Records: int64(len(recs)), ValidBytes: int64(off), DroppedBytes: int64(len(data) - off)}
 }
 
 // encodeHeader renders a journal file header for the given kind.
@@ -210,18 +231,3 @@ func checkHeader(k journalKind, buf []byte) error {
 	}
 	return nil
 }
-
-// journalKind distinguishes the journal vocabularies sharing this
-// package's framing: the farm's job journal and the router's placement
-// journal. Distinct magics and file names mean a data directory can
-// never be opened as the wrong tier and misread.
-type journalKind struct {
-	file    string
-	magic   [4]byte
-	version uint32
-}
-
-var (
-	jobJournal       = journalKind{file: "journal.wal", magic: journalMagic, version: JournalVersion}
-	placementJournal = journalKind{file: "placements.wal", magic: placementMagic, version: PlacementJournalVersion}
-)

@@ -17,12 +17,12 @@ import (
 )
 
 // Durability. With Config.DataDir set, the farm journals every job's
-// lifecycle (admit/start/checkpoint/finish) to a write-ahead log, writes
-// periodic checkpoints and compile-cache metadata to disk, and on the
-// next Open replays all of it: unfinished jobs are re-admitted (resuming
-// from their newest valid checkpoint), orphaned files are garbage
-// collected, and known designs are recompiled warm before the first job
-// arrives. A SIGKILL at any point loses at most the records the fsync
+// admission and terminal state (admit, finish, cancel) to a write-ahead
+// log, writes periodic checkpoints and compile-cache metadata to disk,
+// and on the next Open replays all of it: unfinished jobs are
+// re-admitted (resuming from their newest valid checkpoint), orphaned
+// files are garbage collected, and known designs are recompiled warm
+// before the first job arrives. A SIGKILL at any point loses at most the records the fsync
 // policy allows (see durable.FsyncPolicy); it never corrupts recovery —
 // torn journal tails and damaged checkpoints are detected by checksum
 // and dropped, degrading to an older checkpoint or cycle 0.
@@ -137,6 +137,8 @@ func (f *Farm) recoverFromStore() error {
 				rj.terminal = true
 			}
 		}
+		// Older journals also hold "start" and "ckpt" records; nothing in
+		// them changes what recovery does, so the fold skips them.
 	})
 	if err != nil {
 		return err
@@ -240,19 +242,15 @@ func (f *Farm) recoverFromStore() error {
 		}
 	}
 
-	// Compact the journal to exactly the live jobs so it doesn't grow
-	// with the full history of every job that ever ran.
+	// Compact the journal to exactly the live jobs' admits so it doesn't
+	// grow with the full history of every job that ever ran.
 	var live []durable.Record
 	for _, id := range f.order {
-		j := f.jobs[id]
-		b, merr := json.Marshal(j.Spec)
+		b, merr := json.Marshal(f.jobs[id].Spec)
 		if merr != nil {
 			continue
 		}
 		live = append(live, durable.Record{Type: durable.RecAdmit, Job: id, Spec: b})
-		if j.checkpoint != nil {
-			live = append(live, durable.Record{Type: durable.RecCheckpoint, Job: id, Cycle: j.checkpoint.Cycles})
-		}
 	}
 	if cerr := f.store.Compact(live); cerr != nil {
 		return cerr
@@ -420,11 +418,6 @@ func (f *Farm) journalAdmitLocked(j *Job, spec json.RawMessage) {
 	f.journal(durable.Record{Type: durable.RecAdmit, Job: j.ID, Spec: spec})
 }
 
-// journalStart journals a job's transition to running.
-func (f *Farm) journalStart(j *Job) {
-	f.journal(durable.Record{Type: durable.RecStart, Job: j.ID})
-}
-
 // journalFinish journals a terminal transition, before it is published,
 // and deletes the job's persisted checkpoint. It reports false when the
 // store is frozen: Close or Kill has begun, the record cannot be made
@@ -450,8 +443,8 @@ func (f *Farm) journalFinish(id string, status Status, err error) bool {
 }
 
 // recordCheckpoint installs a job's new resume point and, with a store,
-// persists it (atomic rename, previous checkpoint rotated to .prev) and
-// journals a checkpoint-ref so the recovery log shows resume progress.
+// persists it (atomic rename, previous checkpoint rotated to .prev).
+// Recovery finds it by job ID, so the journal carries no record of it.
 func (f *Farm) recordCheckpoint(j *Job, snap *sim.Snapshot) {
 	j.setCheckpoint(snap)
 	f.mu.Lock()
@@ -466,9 +459,7 @@ func (f *Farm) recordCheckpoint(j *Job, snap *sim.Snapshot) {
 	f.obs.ckptWrite.Observe(time.Since(wstart))
 	if err != nil {
 		f.durableErrs.Add(1)
-		return
 	}
-	f.journal(durable.Record{Type: durable.RecCheckpoint, Job: j.ID, Cycle: snap.Cycles})
 }
 
 // Kill shuts the farm down as a crash would: buffered-but-unsynced

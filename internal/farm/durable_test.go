@@ -639,3 +639,64 @@ func TestFarmJournalCompaction(t *testing.T) {
 			before.Size(), after.Size())
 	}
 }
+
+// TestFarmRecoversLegacyJournal: a journal in the older vocabulary,
+// which also journaled "start" per attempt and "ckpt" per checkpoint,
+// recovers exactly the jobs whose admit has no later finish or cancel.
+// The extra records are replayed and counted, and change nothing.
+func TestFarmRecoversLegacyJournal(t *testing.T) {
+	dir := t.TempDir()
+	store, err := durable.OpenStore(durable.Options{Dir: dir, Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(seed int) json.RawMessage {
+		return json.RawMessage(fmt.Sprintf(
+			`{"design":"Rocket-2C","scale":0.1,"variant":"Dedup","workload":"A","seed":%d,"cycles":200}`, seed))
+	}
+	for _, r := range []durable.Record{
+		{Type: durable.RecAdmit, Job: "job-1", Spec: spec(1)},
+		{Type: "start", Job: "job-1"},
+		{Type: durable.RecCheckpoint, Job: "job-1", Cycle: 64},
+		{Type: durable.RecAdmit, Job: "job-2", Spec: spec(2)},
+		{Type: "start", Job: "job-2"},
+		{Type: durable.RecFinish, Job: "job-2", Status: "done"},
+		{Type: durable.RecAdmit, Job: "job-3", Spec: spec(3)},
+		{Type: durable.RecCancel, Job: "job-3", Status: "canceled", Error: "canceled"},
+		{Type: durable.RecAdmit, Job: "job-4", Spec: spec(4)},
+	} {
+		if err := store.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := Open(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rec := f.RecoveryStats()
+	if rec.JournalRecordsReplayed != 9 || rec.JournalBytesDropped != 0 || rec.JobsRecovered != 2 {
+		t.Fatalf("recovery = %+v, want 9 records replayed, 0 bytes dropped, 2 jobs recovered", rec)
+	}
+	for _, id := range []string{"job-1", "job-4"} {
+		if v := waitDone(t, f, id); v.Status != StatusDone {
+			t.Fatalf("recovered %s: %s (%s)", id, v.Status, v.Error)
+		}
+	}
+	for _, id := range []string{"job-2", "job-3"} {
+		if _, ok := f.Job(id); ok {
+			t.Errorf("terminal %s was re-admitted", id)
+		}
+	}
+	j, err := f.Submit(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != "job-5" {
+		t.Errorf("first new job is %s, want job-5 (IDs continue past the journal's)", j.ID)
+	}
+}

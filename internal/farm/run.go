@@ -71,9 +71,8 @@ func (f *Farm) serve(jobs []*Job) {
 	if len(ls) == 0 {
 		return
 	}
-	for _, l := range ls {
-		f.journalStart(l.j)
-		if len(ls) > 1 {
+	if len(ls) > 1 {
+		for _, l := range ls {
 			l.j.trace.Instant("batch-join", "lanes", strconv.Itoa(len(ls)))
 		}
 	}

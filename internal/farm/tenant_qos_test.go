@@ -29,12 +29,12 @@ func tenantSpec(tn string, cycles int, seed uint64) JobSpec {
 // tenant's work before anyone else submits — the FIFO worst case — and
 // weighted fair-share must still deliver every backlogged tenant its
 // weight share of simulated cycles. alice (weight 1) and bob (weight 2)
-// submit after the flood; when alice's last job finishes, consumed-cycle
-// shares over the contended window must match the 1:2:1 weights within
-// ±10%, the hog must still hold most of its backlog (no FIFO
-// head-of-line drain), and after everything completes the hog's p99
-// queue wait must dominate alice's — the hog paid for its flood, not
-// the small tenants.
+// submit after the flood; up to alice's last dispatch, the cycles each
+// tenant was dispatched over the contended window must match the 1:2:1
+// weights within ±10%, the hog must still hold most of its backlog (no
+// FIFO head-of-line drain), and after everything completes the hog's
+// p99 queue wait must dominate alice's — the hog paid for its flood,
+// not the small tenants.
 func TestFarmTenantFairness(t *testing.T) {
 	reg := tenant.NewRegistry(tenant.Config{Tenants: map[string]tenant.Limits{
 		"alice": {Weight: 1},
@@ -63,22 +63,25 @@ func TestFarmTenantFairness(t *testing.T) {
 
 	// The contended window opens once the last submission is in (the hog
 	// ran alone, and then against alice alone, while the rest was being
-	// enqueued) and closes when alice's last job finishes. It is read off
-	// the jobs' own timestamps: a job lasts ~100 µs, so a test goroutine
-	// racing the workers to snapshot Stats at "the moment alice finished"
-	// would measure its own scheduling delay instead.
-	finished := func(ids []string) []time.Time {
+	// enqueued) and closes when alice's last job is dispatched. Jobs are
+	// counted by their dispatch time, the scheduler's decision: finish
+	// times add each run's duration, which contention on a loaded host
+	// stretches enough to carry a job across either edge. Both edges are
+	// read off the jobs' own timestamps: a job lasts ~100 µs, so a test
+	// goroutine racing the workers to snapshot Stats at "the moment alice
+	// finished" would measure its own scheduling delay instead.
+	dispatched := func(ids []string) []time.Time {
 		at := make([]time.Time, len(ids))
 		for i, id := range ids {
 			v := waitDone(t, f, id)
 			if v.Status != StatusDone {
 				t.Fatalf("job %s: %s (%s)", id, v.Status, v.Error)
 			}
-			at[i] = v.FinishedAt
+			at[i] = v.StartedAt
 		}
 		return at
 	}
-	aliceAt, bobAt, hogAt := finished(aliceIDs), finished(bobIDs), finished(hogIDs)
+	aliceAt, bobAt, hogAt := dispatched(aliceIDs), dispatched(bobIDs), dispatched(hogIDs)
 	last, _ := f.Job(bobIDs[len(bobIDs)-1])
 	openAt, closeAt := last.View().CreatedAt, aliceAt[0]
 	for _, at := range aliceAt {
@@ -121,7 +124,7 @@ func TestFarmTenantFairness(t *testing.T) {
 		}
 	}
 	if hogLeft < 200 {
-		t.Errorf("hog backlog down to %d unfinished jobs when alice finished; FIFO drain suspected (want >= 200 of 400 left)", hogLeft)
+		t.Errorf("hog backlog down to %d undispatched jobs when alice's last ran; FIFO drain suspected (want >= 200 of 400 left)", hogLeft)
 	}
 
 	end := f.Stats()

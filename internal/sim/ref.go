@@ -104,9 +104,6 @@ func (r *Ref) Output(name string) (uint64, error) {
 // Value reads any node's current value (registers: current state).
 func (r *Ref) Value(id graph.NodeID) uint64 { return r.val[id] }
 
-// Mem returns the contents of memory m (owned by the simulator).
-func (r *Ref) Mem(m int32) []uint64 { return r.mems[m] }
-
 // Step evaluates one full cycle.
 func (r *Ref) Step() {
 	c := r.c

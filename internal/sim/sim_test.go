@@ -502,8 +502,9 @@ func TestPropertyRandomCircuitsAllVariants(t *testing.T) {
 	}
 }
 
-// randomCircuit builds a random but legal flat design with registers,
-// memories, and every op kind.
+// randomCircuit builds a random but legal flat design with registers
+// (about half of them enable-gated by one bit of a pool node), memories,
+// and every op kind.
 func randomCircuit(rng *rand.Rand, n int) *circuit.Circuit {
 	b := circuit.NewBuilder("rand")
 	var pool []int32
@@ -511,11 +512,17 @@ func randomCircuit(rng *rand.Rand, n int) *circuit.Circuit {
 	in0 := b.Input("a", width())
 	in1 := b.Input("b", width())
 	pool = append(pool, in0, in1)
-	var regs []int32
+	var regs, enRegs []int32
 	for i := 0; i < 1+rng.Intn(5); i++ {
-		r := b.Reg("", width(), rng.Uint64())
-		pool = append(pool, r)
-		regs = append(regs, r)
+		if rng.Intn(2) == 0 {
+			r := b.RegEn("", width(), rng.Uint64())
+			pool = append(pool, r)
+			enRegs = append(enRegs, r)
+		} else {
+			r := b.Reg("", width(), rng.Uint64())
+			pool = append(pool, r)
+			regs = append(regs, r)
+		}
 	}
 	mem := b.Memory("m", 1<<uint(2+rng.Intn(4)), width())
 	pick := func() int32 { return pool[rng.Intn(len(pool))] }
@@ -555,6 +562,11 @@ func randomCircuit(rng *rand.Rand, n int) *circuit.Circuit {
 	}
 	for _, r := range regs {
 		b.SetRegNext(r, pool[rng.Intn(len(pool))])
+	}
+	for _, r := range enRegs {
+		x := pick()
+		en := b.Bits(x, uint8(rng.Intn(int(b.Width(x)))), 1)
+		b.SetRegNextEn(r, pool[rng.Intn(len(pool))], en)
 	}
 	b.MemWrite(mem, pick(), pick(), pick())
 	b.Output("y", pool[len(pool)-1])

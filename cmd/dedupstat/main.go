@@ -25,6 +25,7 @@ import (
 	"dedupsim/internal/firrtl"
 	"dedupsim/internal/gen"
 	"dedupsim/internal/graph"
+	"dedupsim/internal/partition"
 	"dedupsim/internal/sched"
 )
 
@@ -99,6 +100,12 @@ func main() {
 	}
 	fmt.Printf("  final partitions:   %d (%d shared classes)\n", r.Part.NumParts, r.NumClasses)
 
+	base, err := partition.Partition(g, partition.Options{})
+	if err != nil {
+		fail(err)
+	}
+	printQuality(g, base, r.Part)
+
 	// Compile and report the interpreter-lowering stats: superinstruction
 	// fusion and 1-bit cross-partition signal packing.
 	s, err := sched.LocalityAware(r.Part.Quotient(g), r.Class)
@@ -144,6 +151,44 @@ func main() {
 		}
 		fmt.Printf("\nwrote %s (render with: dot -Tsvg %s -o out.svg)\n", *dotPath, *dotPath)
 	}
+}
+
+// printQuality tabulates the baseline's and Dedup's mean partition
+// size, sink fraction and power-of-two size histogram.
+func printQuality(g *graph.Graph, base, dd *partition.Result) {
+	rows := []struct {
+		name string
+		r    *partition.Result
+		q    partition.Quality
+	}{{name: "ESSENT baseline", r: base}, {name: "Dedup", r: dd}}
+	buckets := 0
+	for i := range rows {
+		rows[i].q = rows[i].r.Quality(g)
+		buckets = max(buckets, len(rows[i].q.SizeHist))
+	}
+	fmt.Printf("\npartition quality (histogram: partitions per size in nodes):\n")
+	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprint(tw, "\tparts\tmean size\tsinks")
+	for k := 0; k < buckets; k++ {
+		if k == 0 {
+			fmt.Fprint(tw, "\t1")
+		} else {
+			fmt.Fprintf(tw, "\t%d-%d", 1<<k, 2<<k-1)
+		}
+	}
+	fmt.Fprintln(tw)
+	for _, row := range rows {
+		fmt.Fprintf(tw, "  %s\t%d\t%.1f\t%.1f%%", row.name, row.r.NumParts, row.q.MeanSize, 100*row.q.SinkFrac)
+		for k := 0; k < buckets; k++ {
+			n := 0
+			if k < len(row.q.SizeHist) {
+				n = row.q.SizeHist[k]
+			}
+			fmt.Fprintf(tw, "\t%d", n)
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
 }
 
 func mode(multi bool) string {

@@ -21,18 +21,18 @@ import (
 // Program. A partitioner change that moves a digest must update the pins
 // deliberately. heteroSoC is the design where MultiModule's output differs.
 var goldenPartitions = map[string][4]uint64{
-	"Rocket-1C@0.25":    {0x103ae8c7f63d739c, 0x18d49f8d3b0a7b3b, 0x18d49f8d3b0a7b3b, 0x50915b79da0504a4},
-	"Rocket-2C@0.1":     {0xc78722db03ed78a7, 0x864ed8a375b02caf, 0x864ed8a375b02caf, 0x26a7480ae43b5f21},
-	"Rocket-4C@0.3":     {0xa12dc592723ef4af, 0xf576e42480e74162, 0xf576e42480e74162, 0x8620af0561d0782d},
-	"SmallBoom-1C@0.25": {0xbe50b5f38cf11137, 0xa380274d5fa561ed, 0xa380274d5fa561ed, 0x754f2d77509cd1b5},
-	"SmallBoom-2C@0.1":  {0x78db672fdb7f91cb, 0xca4abbe4f4951bc0, 0xca4abbe4f4951bc0, 0x7180ff96a87c2c86},
-	"SmallBoom-4C@0.3":  {0x51bc7d48691dca30, 0x042a7a83ee49b64e, 0x042a7a83ee49b64e, 0x8d2ffaed3dd7b889},
-	"LargeBoom-1C@0.25": {0x819ee73d9664453d, 0x06d6a05d670675ff, 0x06d6a05d670675ff, 0xb1625de131bcf65e},
-	"LargeBoom-2C@0.1":  {0x3f6d50e75a6d30e8, 0x2051c26193060a00, 0x2051c26193060a00, 0xd66b55a92542b581},
-	"LargeBoom-4C@0.3":  {0xe3af3bbfeb9a8e02, 0xf47e0cb6ca52f50c, 0xf47e0cb6ca52f50c, 0x253985a1217408cd},
-	"MegaBoom-1C@0.25":  {0x8844ce865039c3c0, 0x26d674d300d6ff0b, 0x26d674d300d6ff0b, 0x7f910638f849fd49},
-	"MegaBoom-2C@0.1":   {0x714b0301211ef494, 0x27a3cd159ba32ccb, 0x27a3cd159ba32ccb, 0x411087bff44d8b1e},
-	"MegaBoom-4C@0.3":   {0x5dd3de1a139a675a, 0x836cbb79e8d128f4, 0x836cbb79e8d128f4, 0x20745bc79a9ec801},
+	"Rocket-1C@0.25":    {0x6b3e9bab1e74a11a, 0xbe60420dbbddebf3, 0xbe60420dbbddebf3, 0xb10ad99cacbaca75},
+	"Rocket-2C@0.1":     {0xc7b3afaa783b6996, 0xcfdb1b74f06ef209, 0xcfdb1b74f06ef209, 0xfe35ae7899d16825},
+	"Rocket-4C@0.3":     {0x776a3d6b0e64b5ec, 0x04603dd693827f69, 0x04603dd693827f69, 0x561590617ffbe714},
+	"SmallBoom-1C@0.25": {0xf4c4f9ad731d090c, 0xae7ba7682175bd96, 0xae7ba7682175bd96, 0x961d8694295ba4c5},
+	"SmallBoom-2C@0.1":  {0x58f48055cb820f91, 0x7b4279413eba48e6, 0x7b4279413eba48e6, 0xabc36f59d6b06c65},
+	"SmallBoom-4C@0.3":  {0xb7478f33c34f2299, 0xc1c6bd1bd2db5b1f, 0xc1c6bd1bd2db5b1f, 0x88cc64deef272d76},
+	"LargeBoom-1C@0.25": {0x30c00ff482d180d6, 0x41a09616c2ca8c14, 0x41a09616c2ca8c14, 0x8cc23f5c708fcae4},
+	"LargeBoom-2C@0.1":  {0xa0fc64596797138c, 0x353fe279c19081a9, 0x353fe279c19081a9, 0x8ff414bd0c1e7dae},
+	"LargeBoom-4C@0.3":  {0xd6ad70da8c5c8c56, 0xecf2b57b047fd840, 0xecf2b57b047fd840, 0x936b4376d6584272},
+	"MegaBoom-1C@0.25":  {0x7e264c56053a6fea, 0x8964d6ef1ef3eecc, 0x8964d6ef1ef3eecc, 0x4b6944cbde5e3a26},
+	"MegaBoom-2C@0.1":   {0xcf94137ba2d65d6b, 0x9c8eace25657c7be, 0x9c8eace25657c7be, 0xfd048b1ca7f543e6},
+	"MegaBoom-4C@0.3":   {0x3394a00663ecf4e7, 0x45fc45904fc87e81, 0x45fc45904fc87e81, 0x556988bbed66803b},
 	"heteroSoC":         {0xff609d7510cc99ab, 0x97b99955c907a290, 0x68471c0f4777b460, 0xd6d451260592cf89},
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -398,6 +399,47 @@ func TestCheckpointRotation(t *testing.T) {
 	s.RemoveCheckpoint("job-1")
 	if got := s.LoadCheckpoint("job-1"); len(got) != 0 {
 		t.Fatalf("after remove: %d candidates", len(got))
+	}
+}
+
+// TestCheckpointNeverMissing: <job>.ckpt stays on disk through every
+// save after the first, so a reader polling for it cannot fall into a
+// rotation window.
+func TestCheckpointNeverMissing(t *testing.T) {
+	s := openTemp(t, Options{Fsync: FsyncAlways})
+	defer s.Close()
+	if err := s.SaveCheckpoint("job-1", []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	path := s.ckpts.path("job-1")
+	stop := make(chan struct{})
+	misses := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				misses <- n
+				return
+			default:
+			}
+			if _, err := os.Stat(path); err != nil {
+				n++
+			}
+		}
+	}()
+	for i := 1; i <= 200; i++ {
+		if err := s.SaveCheckpoint("job-1", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if n := <-misses; n > 0 {
+		t.Fatalf("%s was missing at %d polls during saves", filepath.Base(path), n)
+	}
+	cands := s.LoadCheckpoint("job-1")
+	if len(cands) != 2 || string(cands[0]) != "v200" || string(cands[1]) != "v199" {
+		t.Fatalf("candidates = %q, want [v200 v199]", cands)
 	}
 }
 

@@ -377,26 +377,49 @@ func (t blobTier) remove(name string) {
 
 // --- checkpoints ---
 
-// SaveCheckpoint persists a job's encoded snapshot. The previous
-// checkpoint (if any) is rotated to <job>.ckpt.prev before the new one is
-// renamed into place, so a load always has an older fallback and a torn
-// write can never shadow a good checkpoint. No-op once frozen.
+// SaveCheckpoint persists a job's encoded snapshot. The new checkpoint
+// is written (and synced, per the fsync policy) to <job>.ckpt.tmp first;
+// then the current <job>.ckpt is hard-linked to <job>.ckpt.prev and the
+// temp file renamed over it. So a load always has an older fallback, a
+// torn write can never shadow a good checkpoint, and <job>.ckpt never
+// goes missing while a save runs. No-op once frozen.
 func (s *Store) SaveCheckpoint(job string, data []byte) error {
 	if s.isFrozen() {
 		return nil
 	}
+	// Write even if a Freeze lands during the save: a stopping farm
+	// waits for this save to finish.
 	path := s.ckpts.path(job)
-	if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, path+".prev"); err != nil {
-			return fmt.Errorf("durable: checkpoint rotate: %w", err)
-		}
+	if err := writeFileSynced(path+".tmp", data, s.opts.Fsync != FsyncNone); err != nil {
+		return fmt.Errorf("durable: checkpoint: %w", err)
 	}
-	// Write even if a Freeze landed since the check above: the rotation
-	// is done, and a stopping farm waits for this save to finish.
-	if err := s.ckpts.save(job, data, s.opts.Fsync != FsyncNone); err != nil {
+	if err := linkPrev(path, path+".prev"); err != nil {
+		os.Remove(path + ".tmp")
+		return fmt.Errorf("durable: checkpoint rotate: %w", err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		os.Remove(path + ".tmp")
 		return fmt.Errorf("durable: checkpoint: %w", err)
 	}
 	return nil
+}
+
+// linkPrev makes prev a second name of path's current file, replacing
+// any older prev; an absent path is no error. Where the file system has
+// no hard links it falls back to a rename, which leaves path missing
+// until the caller renames the new file into place.
+func linkPrev(path, prev string) error {
+	if err := os.Remove(prev); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	err := os.Link(path, prev)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		err = os.Rename(path, prev)
+	}
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	return err
 }
 
 // LoadCheckpoint returns a job's persisted checkpoint candidates,
@@ -490,25 +513,34 @@ func (s *Store) removeBlob(t blobTier, name string) {
 // writeFileAtomic writes data to tmp, optionally fsyncs, and renames it
 // over path — a reader never observes a partial file.
 func writeFileAtomic(tmp, path string, data []byte, sync bool) error {
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err := writeFileSynced(tmp, data, sync); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// writeFileSynced writes data to path, fsyncing it when sync is set; on
+// failure it removes the partial file.
+func writeFileSynced(path string, data []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		os.Remove(path)
 		return err
 	}
 	if sync {
 		if err := f.Sync(); err != nil {
 			f.Close()
-			os.Remove(tmp)
+			os.Remove(path)
 			return err
 		}
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		os.Remove(path)
 		return err
 	}
-	return os.Rename(tmp, path)
+	return nil
 }

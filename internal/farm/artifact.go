@@ -24,9 +24,13 @@ import (
 // twice" promise extended across machines. The durable tier persists the
 // same bytes so a restarted node warms from disk without recompiling.
 //
-// The encoding is framed like the journal and snapshots: magic + version
-// + CRC32C over a gob payload. A torn or stale artifact never installs —
-// decode fails and the caller falls back to a local compile.
+// The encoding is framed like the journal and snapshots: magic, version,
+// a CRC32C, the origin's compile cost as fixed-width nanoseconds, then a
+// gob payload; the CRC covers the cost and the payload. The cost stays
+// out of the gob body, where its encoded length would vary with its
+// value, so an artifact's size depends only on the Program. A torn or
+// stale artifact never installs — decode fails and the caller falls back
+// to a local compile.
 
 // ArtifactVersion is the artifact wire/disk format version. Bump it on
 // any change to codegen.Program's shape (or this payload): peers and
@@ -35,8 +39,11 @@ import (
 // Version history: 2 = superinstruction fusion + 1-bit state packing
 // (Program gained fused opcodes, SlotWord/SlotBit, FusionStats);
 // 3 = CSR-only fan-out (Program lost ConsumersOfSlot, ConsumersOfMem and
-// PartOfActivation, which a version-2 reader would decode as empty).
-const ArtifactVersion = 3
+// PartOfActivation, which a version-2 reader would decode as empty);
+// 4 = sibling-sink packing (coarser partitions, so a cached Program is
+// recompiled into the faster form) and the compile cost moved from the
+// gob body to the frame header.
+const ArtifactVersion = 4
 
 var artifactMagic = [4]byte{'D', 'S', 'A', 'R'}
 
@@ -54,19 +61,21 @@ type artifactPayload struct {
 	Activity   bool
 	HasDedup   bool
 	NumClasses int
-	CompileMs  float64
 	Program    *codegen.Program
 }
+
+// artifactHeader is the frame size before the gob body: magic, version,
+// CRC32C and compile nanoseconds.
+const artifactHeader = 20
 
 // EncodeArtifact serializes one compiled variant for transfer or disk.
 // compileTime is the compile cost the artifact's origin paid; importers
 // credit it to their warm-hit accounting.
 func EncodeArtifact(cv *harness.Compiled, compileTime time.Duration) ([]byte, error) {
 	p := artifactPayload{
-		Variant:   string(cv.Variant),
-		Activity:  cv.Activity,
-		CompileMs: float64(compileTime) / float64(time.Millisecond),
-		Program:   cv.Program,
+		Variant:  string(cv.Variant),
+		Activity: cv.Activity,
+		Program:  cv.Program,
 	}
 	if cv.Dedup != nil {
 		p.HasDedup = true
@@ -76,11 +85,12 @@ func EncodeArtifact(cv *harness.Compiled, compileTime time.Duration) ([]byte, er
 	if err := gob.NewEncoder(&body).Encode(p); err != nil {
 		return nil, fmt.Errorf("farm: encode artifact: %w", err)
 	}
-	buf := make([]byte, 12+body.Len())
+	buf := make([]byte, artifactHeader+body.Len())
 	copy(buf[0:4], artifactMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:8], ArtifactVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.Checksum(body.Bytes(), artifactCRC))
-	copy(buf[12:], body.Bytes())
+	binary.LittleEndian.PutUint64(buf[12:20], uint64(compileTime))
+	copy(buf[artifactHeader:], body.Bytes())
+	binary.LittleEndian.PutUint32(buf[8:12], crc32.Checksum(buf[12:], artifactCRC))
 	return buf, nil
 }
 
@@ -88,18 +98,18 @@ func EncodeArtifact(cv *harness.Compiled, compileTime time.Duration) ([]byte, er
 // harness.Compiled plus the origin's compile cost. Corruption, version
 // drift, or gob mismatch all return an error — never a partial Program.
 func DecodeArtifact(data []byte) (*harness.Compiled, time.Duration, error) {
-	if len(data) < 12 || [4]byte(data[0:4]) != artifactMagic {
+	if len(data) < artifactHeader || [4]byte(data[0:4]) != artifactMagic {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrArtifactCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != ArtifactVersion {
 		return nil, 0, fmt.Errorf("farm: artifact is version %d, this build reads version %d", v, ArtifactVersion)
 	}
-	body := data[12:]
-	if crc32.Checksum(body, artifactCRC) != binary.LittleEndian.Uint32(data[8:12]) {
+	if crc32.Checksum(data[12:], artifactCRC) != binary.LittleEndian.Uint32(data[8:12]) {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrArtifactCorrupt)
 	}
+	compileTime := time.Duration(binary.LittleEndian.Uint64(data[12:20]))
 	var p artifactPayload
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data[artifactHeader:])).Decode(&p); err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrArtifactCorrupt, err)
 	}
 	if p.Program == nil {
@@ -113,7 +123,7 @@ func DecodeArtifact(data []byte) (*harness.Compiled, time.Duration, error) {
 	if p.HasDedup {
 		cv.Dedup = &dedup.Result{NumClasses: p.NumClasses}
 	}
-	return cv, time.Duration(p.CompileMs * float64(time.Millisecond)), nil
+	return cv, compileTime, nil
 }
 
 // ArtifactKey is the fleet-wide name of one artifact: the structural

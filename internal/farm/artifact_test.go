@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // exportedArtifact runs one job on a throwaway farm and exports its
@@ -54,6 +55,19 @@ func TestArtifactRoundtrip(t *testing.T) {
 	}
 	if compileTime <= 0 {
 		t.Errorf("decoded compile time %v, want the origin's positive cost", compileTime)
+	}
+	// The compile cost is fixed-width, so it leaves the size alone.
+	for _, d := range []time.Duration{0, time.Nanosecond, 1<<62 + 3} {
+		again, err := EncodeArtifact(cv, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again) != len(data) {
+			t.Errorf("compile cost %v: artifact is %d bytes, want %d", d, len(again), len(data))
+		}
+		if _, back, err := DecodeArtifact(again); err != nil || back != d {
+			t.Errorf("compile cost %v came back as %v (%v)", d, back, err)
+		}
 	}
 
 	if _, _, err := DecodeArtifact(data[:8]); !errors.Is(err, ErrArtifactCorrupt) {

@@ -4,7 +4,7 @@
 // quotient graph is itself acyclic, so a full-cycle simulator can evaluate
 // each partition exactly once per simulated cycle (paper Section 2.5).
 //
-// The partitioner coarsens bottom-up in three provably safe phases:
+// The partitioner coarsens bottom-up in four provably safe phases:
 //
 //  1. Sole-successor contraction: a partition whose only outgoing edge
 //     leads to q is merged into q. En-masse application cannot create a
@@ -14,6 +14,12 @@
 //     (Theorem 5.1): merge endpoints of an edge only when no indirect
 //     path connects them, checked incrementally on the evolving quotient
 //     so concurrent merges cannot conspire to form a cycle.
+//  4. Sibling-sink packing: the sink successors of each parent are
+//     packed into groups up to the size cap. A group of sinks has no
+//     out-edge, so no cycle can pass through it, and no path query is
+//     needed. Phases 1-3 merge only along quotient edges, so without
+//     this phase most partitions would be small sinks that share a
+//     parent but never touch.
 //
 // All phases respect a maximum partition size.
 package partition

@@ -7,7 +7,8 @@ import "dedupsim/internal/graph"
 // partitioner's general-merge phase and by the locality-aware scheduler's
 // consolidation step, both of which must guarantee that no sequence of
 // individually-safe merges conspires to create a cycle — hence every check
-// runs against the *evolving* quotient, not a snapshot.
+// runs against the *evolving* quotient, not a snapshot. The partitioner's
+// sink-packing phase then merges on the same live state without queries.
 //
 // Adjacency rows are sets kept in slices: a row holds no ID twice, and a
 // merged row keeps the surviving representative's raw (possibly stale)
@@ -161,7 +162,8 @@ func (m *Merger) CanMerge(a, b int32) bool {
 }
 
 // Merge unconditionally merges the groups of a and b, canonicalizing the
-// merged adjacency. Callers must have established safety via CanMerge.
+// merged adjacency. Callers must have established safety, via CanMerge
+// or (sink packing) because neither group has an out-edge.
 func (m *Merger) Merge(a, b int32) int32 {
 	ra, rb := m.d.find(a), m.d.find(b)
 	if ra == rb {

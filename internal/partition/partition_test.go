@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dedupsim/internal/gen"
@@ -142,6 +143,42 @@ func TestPartitionFrozen(t *testing.T) {
 	}
 	if _, err := PartitionFrozen(g, make([]bool, 3), Options{}); err == nil {
 		t.Fatal("frozen slice of the wrong length accepted")
+	}
+}
+
+// TestMergeSinksFirstFit: phase 4 packs a parent's sinks first-fit, so
+// a small sink after a large one still joins the first small one, and a
+// frozen sink stays alone.
+func TestMergeSinksFirstFit(t *testing.T) {
+	g := graph.New(5)
+	for s := int32(1); s < 5; s++ {
+		g.AddEdge(0, s)
+	}
+	m := NewMerger(g, []int64{1, 10, 45, 10, 1}, []bool{false, false, false, false, true})
+	order, err := g.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mergeSinks(m, order, 48)
+	if m.Rep(1) != m.Rep(3) || m.Weight(1) != 20 {
+		t.Fatalf("sinks 1 and 3 not packed together (weight %d)", m.Weight(1))
+	}
+	if m.Rep(2) == m.Rep(1) || m.Rep(4) == m.Rep(1) || m.Rep(4) == m.Rep(2) {
+		t.Fatal("packed past the cap or packed a frozen sink")
+	}
+}
+
+func TestQuality(t *testing.T) {
+	// 0 -> {1, 2}, 2 -> 3: partitions {0}, {1}, {2, 3} have sizes 1, 1, 2
+	// and two sinks.
+	g := graph.New(4)
+	g.AddEdge(0, 1)
+	g.AddEdge(0, 2)
+	g.AddEdge(2, 3)
+	r := &Result{Assign: []int32{0, 1, 2, 2}, NumParts: 3, Weights: []int64{1, 1, 2}}
+	q := r.Quality(g)
+	if q.MeanSize != 4.0/3 || q.SinkFrac != 2.0/3 || !reflect.DeepEqual(q.SizeHist, []int{2, 1}) {
+		t.Fatalf("quality = %+v", q)
 	}
 }
 

@@ -4,49 +4,79 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"dedupsim/internal/graph"
 )
 
-// Property: for any random DAG and options, the partitioning is a total,
-// acyclic, size-respecting assignment.
+// Property: for any random DAG, frozen set and options, the partitioning
+// is a total, acyclic, size-respecting assignment that keeps frozen nodes
+// singletons and, after phase 4, leaves no two unfrozen sink partitions
+// of one parent that would still fit together.
 func TestQuickPartitionInvariants(t *testing.T) {
-	f := func(seed int64, nRaw, mRaw uint16, maxRaw uint8) bool {
+	f := func(seed int64, nRaw, mRaw uint16, maxRaw, frozenRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + int(nRaw%120)
+		n := 2 + int(nRaw%150)
 		m := int(mRaw) % (3 * n)
 		maxSize := 2 + int(maxRaw%60)
-		g := graph.New(n)
-		for i := 0; i < m; i++ {
-			u := rng.Intn(n - 1)
-			v := u + 1 + rng.Intn(n-u-1)
-			g.AddEdge(int32(u), int32(v))
+		g := randomDAG(rng, n, m)
+		var frozen []bool
+		if frozenPct := int(frozenRaw % 4 * 10); frozenPct > 0 {
+			frozen = make([]bool, n)
+			for v := range frozen {
+				frozen[v] = rng.Intn(100) < frozenPct
+			}
 		}
-		g.Dedup()
-		r, err := Partition(g, Options{MaxSize: maxSize})
+		r, err := PartitionFrozen(g, frozen, Options{MaxSize: maxSize})
 		if err != nil {
+			t.Log(err)
 			return false
 		}
-		seen := make([]bool, n)
+		if len(r.Assign) != n {
+			t.Logf("%d of %d nodes assigned", len(r.Assign), n)
+			return false
+		}
+		frozenPart := make([]bool, r.NumParts)
 		for v, p := range r.Assign {
 			if p < 0 || int(p) >= r.NumParts {
+				t.Logf("node %d in partition %d of %d", v, p, r.NumParts)
 				return false
 			}
-			seen[v] = true
-		}
-		for _, s := range seen {
-			if !s {
-				return false
+			if frozen != nil && frozen[v] {
+				if r.Weights[p] != 1 {
+					t.Logf("frozen node %d shares partition %d", v, p)
+					return false
+				}
+				frozenPart[p] = true
 			}
 		}
-		for _, w := range r.Weights {
+		for p, w := range r.Weights {
 			if w <= 0 || w > int64(maxSize) {
+				t.Logf("partition %d has %d nodes, cap %d", p, w, maxSize)
 				return false
 			}
 		}
-		return r.Quotient(g).IsAcyclic()
+		q := r.Quotient(g)
+		if !q.IsAcyclic() {
+			t.Log("cyclic quotient")
+			return false
+		}
+		for p := 0; p < r.NumParts; p++ {
+			var sinks []int32
+			for _, s := range q.Succs(int32(p)) {
+				if len(q.Succs(s)) == 0 && !frozenPart[s] {
+					sinks = append(sinks, s)
+				}
+			}
+			for i, a := range sinks {
+				for _, b := range sinks[i+1:] {
+					if r.Weights[a]+r.Weights[b] <= int64(maxSize) {
+						t.Logf("sinks %d and %d of %d fit in %d", a, b, p, maxSize)
+						return false
+					}
+				}
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

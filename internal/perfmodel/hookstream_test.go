@@ -58,8 +58,8 @@ func TestRecordHookStreamPinned(t *testing.T) {
 		acts, lines int
 		instrs      int64
 	}{
-		{"activity", true, 0x3a876e6522b9c078, 5646, 561, 175179},
-		{"full", false, 0x12038fb8b137df76, 22200, 770, 527600},
+		{"activity", true, 0x56a9e8be235b7cb3, 5207, 561, 172026},
+		{"full", false, 0x3200b0c37a04b79e, 11600, 770, 424600},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			drive := stimulus.VVAddB().NewDrive()

@@ -249,6 +249,11 @@ func (r *Router) applyPeerDelta(p *peerState, d PlacementDelta) {
 				fj.view = pj.View
 				if pj.Terminal {
 					fj.terminal = true
+					if r.store != nil {
+						// As in finishLocked: our watcher will hit the
+						// terminal guard, so the checkpoint goes here.
+						r.store.RemoveCheckpoint(fj.id)
+					}
 					fj.trace.Instant("done", "status", string(pj.View.Status), "node", pj.Node)
 					r.notifyLocked()
 				}

@@ -608,3 +608,45 @@ func TestRouterRecoversPlacementJournal(t *testing.T) {
 		t.Errorf("nextID = %d, want 3 (fleet IDs continue past the journal's)", r.nextID)
 	}
 }
+
+// TestPeerTerminalDropsCheckpoint: a job a peer's delta reports
+// finished loses its persisted checkpoint, exactly as a finish this
+// router observes itself does. Our own watcher then meets the terminal
+// guard, and recovery keeps terminal tombstones, so nothing else would.
+func TestPeerTerminalDropsCheckpoint(t *testing.T) {
+	r, err := OpenRouter(RouterConfig{
+		HeartbeatEvery: time.Hour,
+		DataDir:        t.TempDir(),
+		Fsync:          durable.FsyncNone,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("open router: %v", err)
+	}
+	defer r.Close()
+	hasCkpt := func(id string) bool {
+		for _, c := range r.store.Checkpoints() {
+			if c == id {
+				return true
+			}
+		}
+		return false
+	}
+	peer := &peerState{addr: "peer"}
+	job := DeltaJob{
+		ID: "rb-fj-1", Spec: clusterSpec("Rocket-2C", 1000, 1), Key: "k", Node: "n1", Remote: "job-1",
+		View: farm.JobView{ID: "job-1", Status: farm.StatusRunning}, Rev: 1,
+	}
+	r.applyPeerDelta(peer, PlacementDelta{RouterID: "rb", Seq: 1, Jobs: []DeltaJob{job}})
+	if err := r.store.SaveCheckpoint(job.ID, []byte("snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if !hasCkpt(job.ID) {
+		t.Fatalf("checkpoints %v lack %s after save", r.store.Checkpoints(), job.ID)
+	}
+	job.Terminal, job.Rev, job.View.Status = true, 2, farm.StatusDone
+	r.applyPeerDelta(peer, PlacementDelta{RouterID: "rb", Seq: 2, Jobs: []DeltaJob{job}})
+	if hasCkpt(job.ID) {
+		t.Errorf("checkpoints %v still list %s after the peer reported it done", r.store.Checkpoints(), job.ID)
+	}
+}

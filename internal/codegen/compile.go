@@ -398,10 +398,6 @@ func costKernel(k *Kernel) {
 		case KNotAnd:
 			bytes += 6
 			dyn += 2
-		case KCmpSel:
-			bytes += 10
-			dyn += 2
-			branches++
 		case KMuxMux:
 			bytes += 14
 			dyn += 3

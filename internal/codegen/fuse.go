@@ -15,10 +15,10 @@ import "dedupsim/internal/circuit"
 //     KBinI with the immediate inline (commutative ops swap a left-hand
 //     constant to the right first); KConsts with no remaining uses die.
 //  2. Chain fusion at the consumer: single-use KNot into KBin/OpAnd
-//     (KNotAnd), single-use comparison into KMux (KCmpSel), single-use
-//     inner KMux on a false arm (KMuxMux — the priority-ladder rung),
-//     single-use KBin into a KBits field extraction (KBinBits — keeps
-//     both masks, so it is sound for every non-Cat operator).
+//     (KNotAnd), single-use inner KMux on a false arm (KMuxMux — the
+//     priority-ladder rung), single-use KBin into a KBits field
+//     extraction (KBinBits — keeps both masks, so it is sound for every
+//     non-Cat operator).
 //  3. Store sinking into the definition: a KStore/KStoreExt whose source
 //     is a KBin or KMux moves into the defining instruction (KBinStore /
 //     KMuxStore and their Ext forms). The temp is still written, so
@@ -69,11 +69,6 @@ func tempUses(in *Instr, f func(t int32)) {
 		f(in.A)
 		f(in.B)
 		f(in.C)
-	case KCmpSel:
-		f(in.A)
-		f(in.B)
-		f(in.C)
-		f(int32(uint32(in.Val)))
 	case KMuxMux:
 		f(in.A)
 		f(in.B)
@@ -198,18 +193,6 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 				fused["bin_bits"]++
 			}
 		case KMux:
-			if d := defOf(in.A); d >= 0 && code[d].Op == KBin && fuseIsCmp(code[d].BinOp) && use[in.A] == 1 {
-				c := &code[d]
-				use[in.A]--
-				in.Op = KCmpSel
-				in.BinOp = c.BinOp
-				in.Val = uint64(uint32(in.C))
-				in.C = in.B
-				in.A, in.B = c.A, c.B
-				dead[d] = true
-				fused["cmp_sel"]++
-				continue
-			}
 			if d := defOf(in.C); d >= 0 && code[d].Op == KMux && use[in.C] == 1 {
 				m2 := &code[d]
 				use[in.C]--

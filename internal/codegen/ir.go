@@ -67,10 +67,6 @@ const (
 	// into its consuming KBin/OpAnd. Mask is the AND of both original
 	// masks (sound by associativity of &).
 	KNotAnd
-	// KCmpSel computes Dst <- cmp(A, B) ? C : Val&0xffffffff, fusing a
-	// single-use comparison (BinOp in Eq/Neq/Lt/Geq) into its consuming
-	// KMux. The false-arm temp index is packed into Val's low 32 bits.
-	KCmpSel
 	// KMuxMux computes Dst <- A != 0 ? B : (C != 0 ? tv : fv), fusing a
 	// single-use inner KMux on the false arm (a priority-mux ladder
 	// rung). Val packs the inner arms as uint32 pair: tv = Val&0xffffffff,
@@ -319,7 +315,7 @@ type FusionStats struct {
 	ActInstrsBefore int64 `json:"act_instrs_before"`
 	ActInstrsAfter  int64 `json:"act_instrs_after"`
 	// FusedByKind counts static fusions per pattern (bin_imm, not_and,
-	// cmp_sel, mux_mux, bin_store, mux_store).
+	// mux_mux, bin_bits, bin_store, mux_store).
 	FusedByKind map[string]int `json:"fused_by_kind,omitempty"`
 }
 

@@ -42,8 +42,10 @@ import (
 // PartOfActivation, which a version-2 reader would decode as empty);
 // 4 = sibling-sink packing (coarser partitions, so a cached Program is
 // recompiled into the faster form) and the compile cost moved from the
-// gob body to the frame header.
-const ArtifactVersion = 4
+// gob body to the frame header; 5 = the fused compare-select opcode
+// deleted (every later opcode renumbers, and gob carries raw opcode
+// values).
+const ArtifactVersion = 5
 
 var artifactMagic = [4]byte{'D', 'S', 'A', 'R'}
 

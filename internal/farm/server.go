@@ -97,6 +97,13 @@ func Handler(f *Farm) http.Handler {
 		}
 		views := []JobView{}
 		for _, j := range f.Jobs() {
+			if live {
+				select {
+				case <-j.Done():
+					continue // terminal: skip building a view only to drop it
+				default:
+				}
+			}
 			if v := j.View(); !live || !v.Status.Terminal() {
 				views = append(views, v)
 			}

@@ -15,11 +15,6 @@ type Options struct {
 	MaxSize int
 }
 
-// mergePasses bounds the general-merge phase. Raising it to 30 and
-// dfsBudget to 65 536 takes MegaBoom-8C from 3 288 to 3 270 partitions
-// (0.5 %), so neither is a setting.
-const mergePasses = 3
-
 func (o Options) withDefaults() Options {
 	if o.MaxSize <= 0 {
 		o.MaxSize = 48
@@ -146,10 +141,11 @@ func PartitionFrozen(g *graph.Graph, frozen []bool, opt Options) (*Result, error
 	if err != nil {
 		return nil, fmt.Errorf("partition: quotient is cyclic: %w", err)
 	}
-	// Refused pairs are cached: a failed safety check can only flip to
-	// safe if an intermediate group later merges into one endpoint, so
-	// skipping repeats is conservative (never unsafe) and removes most of
-	// the repeated DFS work in later passes.
+	// One pass: with dfsBudget 512 a second pass merged nothing on any
+	// bench design. Refused pairs are cached: a failed safety check can
+	// only flip to safe if an intermediate group later merges into one
+	// endpoint, so skipping repeats is conservative (never unsafe) and
+	// saves the repeated DFS when a pair recurs within the pass.
 	failed := map[uint64]bool{}
 	pairKey := func(a, b int32) uint64 {
 		if a > b {
@@ -157,32 +153,25 @@ func PartitionFrozen(g *graph.Graph, frozen []bool, opt Options) (*Result, error
 		}
 		return uint64(uint32(a))<<32 | uint64(uint32(b))
 	}
-	for pass := 0; pass < mergePasses; pass++ {
-		merges := 0
-		for _, p := range order {
-			rp := m.Rep(p)
-			for _, s := range q.Succs(p) {
-				rs := m.Rep(s)
-				if rs == rp {
-					continue
-				}
-				if m.Weight(rp)+m.Weight(rs) > maxW {
-					continue
-				}
-				key := pairKey(rp, rs)
-				if failed[key] {
-					continue
-				}
-				if m.TryMerge(rp, rs) {
-					merges++
-					rp = m.Rep(rp)
-				} else {
-					failed[key] = true
-				}
+	for _, p := range order {
+		rp := m.Rep(p)
+		for _, s := range q.Succs(p) {
+			rs := m.Rep(s)
+			if rs == rp {
+				continue
 			}
-		}
-		if merges == 0 {
-			break
+			if m.Weight(rp)+m.Weight(rs) > maxW {
+				continue
+			}
+			key := pairKey(rp, rs)
+			if failed[key] {
+				continue
+			}
+			if m.TryMerge(rp, rs) {
+				rp = m.Rep(rp)
+			} else {
+				failed[key] = true
+			}
 		}
 	}
 

@@ -718,16 +718,6 @@ func (e *BatchEngine) exec(act *codegen.Activation, lanes []int32) {
 			for _, l := range lanes {
 				t[d+int(l)] = ^t[a+int(l)] & t[b+int(l)] & mask
 			}
-		case codegen.KCmpSel:
-			d, a, b := int(in.Dst)*L, int(in.A)*L, int(in.B)*L
-			tv, fv := int(in.C)*L, int(int32(uint32(in.Val)))*L
-			for _, l := range lanes {
-				if cmpTrue(in.BinOp, t[a+int(l)], t[b+int(l)]) {
-					t[d+int(l)] = t[tv+int(l)]
-				} else {
-					t[d+int(l)] = t[fv+int(l)]
-				}
-			}
 		case codegen.KMuxMux:
 			d, s1, v1, s2 := int(in.Dst)*L, int(in.A)*L, int(in.B)*L, int(in.C)*L
 			tv, fv := int(int32(uint32(in.Val)))*L, int(int32(in.Val>>32))*L
@@ -897,19 +887,6 @@ func (e *BatchEngine) execDense(act *codegen.Activation, lanes []int32, execMask
 			for l := range d {
 				d[l] = ^a[l] & b[l] & mask
 			}
-		case codegen.KCmpSel:
-			d := t[int(in.Dst)*L : int(in.Dst)*L+L]
-			a := t[int(in.A)*L : int(in.A)*L+L][:L]
-			b := t[int(in.B)*L : int(in.B)*L+L][:L]
-			tv := t[int(in.C)*L : int(in.C)*L+L][:L]
-			fv := t[int(int32(uint32(in.Val)))*L : int(int32(uint32(in.Val)))*L+L][:L]
-			for l := range d {
-				if cmpTrue(in.BinOp, a[l], b[l]) {
-					d[l] = tv[l]
-				} else {
-					d[l] = fv[l]
-				}
-			}
 		case codegen.KMuxMux:
 			d := t[int(in.Dst)*L : int(in.Dst)*L+L]
 			s1 := t[int(in.A)*L : int(in.A)*L+L][:L]
@@ -1032,16 +1009,12 @@ func (e *BatchEngine) storeGear(slot int32, tempBase int, mask uint64, lanes []i
 
 // evalBinImmDense is evalBinDense for immediate-operand (KBinI) forms:
 // the constant rides in the instruction, so each lane does one load, one
-// ALU op, one store. Cat never folds to an immediate.
+// ALU op, one store.
 func evalBinImmDense(t []uint64, in *codegen.Instr, L int) {
 	d := t[int(in.Dst)*L : int(in.Dst)*L+L]
 	a := t[int(in.A)*L : int(in.A)*L+L][:L]
 	c, m := in.Val, in.Mask
 	switch in.BinOp {
-	case circuit.OpAnd:
-		for l := range d {
-			d[l] = a[l] & c & m
-		}
 	case circuit.OpOr:
 		for l := range d {
 			d[l] = (a[l] | c) & m
@@ -1054,34 +1027,10 @@ func evalBinImmDense(t []uint64, in *codegen.Instr, L int) {
 		for l := range d {
 			d[l] = (a[l] + c) & m
 		}
-	case circuit.OpSub:
-		for l := range d {
-			d[l] = (a[l] - c) & m
-		}
-	case circuit.OpMul:
-		for l := range d {
-			d[l] = (a[l] * c) & m
-		}
 	case circuit.OpEq:
 		for l := range d {
 			var v uint64
 			if a[l] == c {
-				v = 1
-			}
-			d[l] = v
-		}
-	case circuit.OpNeq:
-		for l := range d {
-			var v uint64
-			if a[l] != c {
-				v = 1
-			}
-			d[l] = v
-		}
-	case circuit.OpLt:
-		for l := range d {
-			var v uint64
-			if a[l] < c {
 				v = 1
 			}
 			d[l] = v
@@ -1115,7 +1064,9 @@ func evalBinImmDense(t []uint64, in *codegen.Instr, L int) {
 			}
 		}
 	default:
-		panic("sim: evalBinImmDense called with non-binary op " + in.BinOp.String())
+		for l := range d {
+			d[l] = EvalBinMask(in.BinOp, m, a[l], c, 0)
+		}
 	}
 }
 
@@ -1173,27 +1124,19 @@ func (e *BatchEngine) execOne(act *codegen.Activation, lane int) {
 		case codegen.KStoreExt:
 			e.storeOne(act.Ext[in.Dst], t[int(in.A)*L+lane]&in.Mask, lane, bit)
 		case codegen.KBin:
-			// Hot operators inline, as in execKernel: the EvalBinMask call
+			// The same inline forms as execKernel: the EvalBinMask call
 			// plus its op switch costs more than the arithmetic here.
 			a, b := t[int(in.A)*L+lane], t[int(in.B)*L+lane]
 			var v uint64
 			switch in.BinOp {
 			case circuit.OpXor:
 				v = (a ^ b) & in.Mask
-			case circuit.OpAdd:
-				v = (a + b) & in.Mask
 			case circuit.OpAnd:
 				v = a & b & in.Mask
+			case circuit.OpAdd:
+				v = (a + b) & in.Mask
 			case circuit.OpOr:
 				v = (a | b) & in.Mask
-			case circuit.OpShl:
-				if b < 64 {
-					v = (a << b) & in.Mask
-				}
-			case circuit.OpEq:
-				if a == b {
-					v = 1
-				}
 			default:
 				v = EvalBinMask(in.BinOp, in.Mask, a, b, uint8(in.Val))
 			}
@@ -1221,30 +1164,28 @@ func (e *BatchEngine) execOne(act *codegen.Activation, lane int) {
 			a, c := t[int(in.A)*L+lane], in.Val
 			var v uint64
 			switch in.BinOp {
-			case circuit.OpXor:
-				v = (a ^ c) & in.Mask
+			case circuit.OpShl:
+				if c < 64 {
+					v = (a << c) & in.Mask
+				}
 			case circuit.OpAdd:
 				v = (a + c) & in.Mask
-			case circuit.OpAnd:
-				v = a & c & in.Mask
-			case circuit.OpOr:
-				v = (a | c) & in.Mask
 			case circuit.OpEq:
 				if a == c {
 					v = 1
 				}
+			case circuit.OpShr:
+				if c < 64 {
+					v = (a >> c) & in.Mask
+				}
+			case circuit.OpOr:
+				v = (a | c) & in.Mask
 			default:
 				v = EvalBinMask(in.BinOp, in.Mask, a, c, 0)
 			}
 			t[int(in.Dst)*L+lane] = v
 		case codegen.KNotAnd:
 			t[int(in.Dst)*L+lane] = ^t[int(in.A)*L+lane] & t[int(in.B)*L+lane] & in.Mask
-		case codegen.KCmpSel:
-			if cmpTrue(in.BinOp, t[int(in.A)*L+lane], t[int(in.B)*L+lane]) {
-				t[int(in.Dst)*L+lane] = t[int(in.C)*L+lane]
-			} else {
-				t[int(in.Dst)*L+lane] = t[int(int32(uint32(in.Val)))*L+lane]
-			}
 		case codegen.KMuxMux:
 			if t[int(in.A)*L+lane] != 0 {
 				t[int(in.Dst)*L+lane] = t[int(in.B)*L+lane]
@@ -1349,6 +1290,10 @@ func (e *BatchEngine) storeDense(slot int32, tempBase int, mask uint64) {
 // evalBinDense applies one binary instruction to every lane: operator
 // dispatch hoisted out of the loop, operands carved into equal-length
 // slices so the per-lane body compiles to straight-line masked ALU ops.
+// The four lane helpers keep a loop for exactly the operators some bench
+// design executes; the rest take a per-lane EvalBinMask, the one
+// definition of every cold operator (DESIGN.md "The interpreter hot
+// path").
 func evalBinDense(t []uint64, in *codegen.Instr, L int) {
 	d := t[int(in.Dst)*L : int(in.Dst)*L+L]
 	a := t[int(in.A)*L : int(in.A)*L+L][:L]
@@ -1374,18 +1319,6 @@ func evalBinDense(t []uint64, in *codegen.Instr, L int) {
 	case circuit.OpSub:
 		for l := range d {
 			d[l] = (a[l] - b[l]) & m
-		}
-	case circuit.OpMul:
-		for l := range d {
-			d[l] = (a[l] * b[l]) & m
-		}
-	case circuit.OpEq:
-		for l := range d {
-			var v uint64
-			if a[l] == b[l] {
-				v = 1
-			}
-			d[l] = v
 		}
 	case circuit.OpNeq:
 		for l := range d {
@@ -1429,13 +1362,10 @@ func evalBinDense(t []uint64, in *codegen.Instr, L int) {
 				d[l] = (a[l] >> sh) & m
 			}
 		}
-	case circuit.OpCat:
-		bw := uint8(in.Val)
-		for l := range d {
-			d[l] = ((a[l] << bw) | b[l]) & m
-		}
 	default:
-		panic("sim: evalBinDense called with non-binary op " + in.BinOp.String())
+		for l := range d {
+			d[l] = EvalBinMask(in.BinOp, m, a[l], b[l], uint8(in.Val))
+		}
 	}
 }
 
@@ -1446,10 +1376,6 @@ func evalBinImmLanes(t []uint64, in *codegen.Instr, L int, lanes []int32) {
 	d, a := int(in.Dst)*L, int(in.A)*L
 	c, m := in.Val, in.Mask
 	switch in.BinOp {
-	case circuit.OpAnd:
-		for _, l := range lanes {
-			t[d+int(l)] = t[a+int(l)] & c & m
-		}
 	case circuit.OpOr:
 		for _, l := range lanes {
 			t[d+int(l)] = (t[a+int(l)] | c) & m
@@ -1469,6 +1395,34 @@ func evalBinImmLanes(t []uint64, in *codegen.Instr, L int, lanes []int32) {
 				v = 1
 			}
 			t[d+int(l)] = v
+		}
+	case circuit.OpGeq:
+		for _, l := range lanes {
+			var v uint64
+			if t[a+int(l)] >= c {
+				v = 1
+			}
+			t[d+int(l)] = v
+		}
+	case circuit.OpShl:
+		if c >= 64 {
+			for _, l := range lanes {
+				t[d+int(l)] = 0
+			}
+		} else {
+			for _, l := range lanes {
+				t[d+int(l)] = (t[a+int(l)] << c) & m
+			}
+		}
+	case circuit.OpShr:
+		if c >= 64 {
+			for _, l := range lanes {
+				t[d+int(l)] = 0
+			}
+		} else {
+			for _, l := range lanes {
+				t[d+int(l)] = (t[a+int(l)] >> c) & m
+			}
 		}
 	default:
 		for _, l := range lanes {
@@ -1504,18 +1458,6 @@ func evalBinLanes(t []uint64, in *codegen.Instr, L int, lanes []int32) {
 	case circuit.OpSub:
 		for _, l := range lanes {
 			t[d+int(l)] = (t[a+int(l)] - t[b+int(l)]) & m
-		}
-	case circuit.OpMul:
-		for _, l := range lanes {
-			t[d+int(l)] = (t[a+int(l)] * t[b+int(l)]) & m
-		}
-	case circuit.OpEq:
-		for _, l := range lanes {
-			var v uint64
-			if t[a+int(l)] == t[b+int(l)] {
-				v = 1
-			}
-			t[d+int(l)] = v
 		}
 	case circuit.OpNeq:
 		for _, l := range lanes {
@@ -1559,13 +1501,10 @@ func evalBinLanes(t []uint64, in *codegen.Instr, L int, lanes []int32) {
 				t[d+int(l)] = (t[a+int(l)] >> sh) & m
 			}
 		}
-	case circuit.OpCat:
-		bw := uint8(in.Val)
-		for _, l := range lanes {
-			t[d+int(l)] = ((t[a+int(l)] << bw) | t[b+int(l)]) & m
-		}
 	default:
-		panic("sim: evalBinLanes called with non-binary op " + in.BinOp.String())
+		for _, l := range lanes {
+			t[d+int(l)] = EvalBinMask(in.BinOp, m, t[a+int(l)], t[b+int(l)], uint8(in.Val))
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package sim_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"dedupsim/internal/circuit"
 	"dedupsim/internal/gen"
 	"dedupsim/internal/harness"
 	"dedupsim/internal/partition"
@@ -101,6 +103,70 @@ func TestBatchEngineDifferential(t *testing.T) {
 					t.Errorf("activity off but %d activations skipped", be.ActsSkipped[0])
 				}
 			})
+		}
+	}
+}
+
+// TestBatchRandomCircuitsMatchScalar runs random circuits — every
+// operator, including those no bench design executes and the lane
+// helpers leave to EvalBinMask — on an 8-lane BatchEngine next to eight
+// one-lane Engines, with activity skipping on and off. Lane l redraws
+// its inputs on about (l+1)/16 of the cycles, so dirty-lane counts vary
+// and every interpreter gear runs. Outputs are compared every cycle and
+// the full state vector at the end.
+func TestBatchRandomCircuitsMatchScalar(t *testing.T) {
+	const lanes, cycles = 8, 40
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 6; trial++ {
+		c := randomCircuit(rng, 60+rng.Intn(100))
+		cv, err := harness.CompileVariant(c, harness.ESSENT, partition.Options{MaxSize: 8 + rng.Intn(24)})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, activity := range []bool{true, false} {
+			be, err := sim.NewBatch(cv.Program, activity, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scalars := make([]*sim.Engine, lanes)
+			for l := range scalars {
+				scalars[l] = sim.New(cv.Program, activity)
+			}
+			for cyc := 0; cyc < cycles; cyc++ {
+				for l := 0; l < lanes; l++ {
+					if cyc > 0 && rng.Intn(2*lanes) > l {
+						continue
+					}
+					for _, in := range c.Inputs() {
+						v := rng.Uint64() & circuit.Mask(c.Width[in])
+						if err := be.SetInput(l, c.Names[in], v); err != nil {
+							t.Fatal(err)
+						}
+						if err := scalars[l].SetInput(c.Names[in], v); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				be.Step()
+				for l, e := range scalars {
+					e.Step()
+					for _, out := range c.Outputs() {
+						want, _ := e.Output(c.Names[out])
+						if got, _ := be.Output(l, c.Names[out]); got != want {
+							t.Fatalf("trial %d activity=%v cycle %d lane %d output %q: batch %#x, scalar %#x",
+								trial, activity, cyc, l, c.Names[out], got, want)
+						}
+					}
+				}
+			}
+			for l, e := range scalars {
+				for s := int32(0); s < int32(cv.Program.NumSlots); s++ {
+					if got, want := be.Slot(l, s), e.Slot(s); got != want {
+						t.Fatalf("trial %d activity=%v lane %d slot %d: batch %#x, scalar %#x",
+							trial, activity, l, s, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -131,6 +131,15 @@ func main() {
 	}
 	fmt.Printf("  1-bit packing:      %d signals in %d words (state %d slots -> %d words)\n",
 		p.PackedSignals, p.PackedWords, p.NumSlots, p.NumWords)
+	members := 0
+	for _, run := range p.ClassRuns {
+		members += int(run.Len)
+	}
+	fmt.Printf("  class runs:         %d", len(p.ClassRuns))
+	if len(p.ClassRuns) > 0 {
+		fmt.Printf(" (mean %.2f members, %d of %d activations)", float64(members)/float64(len(p.ClassRuns)), members, len(p.Activations))
+	}
+	fmt.Println()
 
 	if *dotPath != "" {
 		f, err := os.Create(*dotPath)

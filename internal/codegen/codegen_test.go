@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"testing"
 
 	"dedupsim/internal/circuit"
@@ -252,5 +253,32 @@ func TestUniqueCodeBytesSumsKernels(t *testing.T) {
 	}
 	if p.UniqueCodeBytes != sum {
 		t.Fatalf("UniqueCodeBytes %d != sum %d", p.UniqueCodeBytes, sum)
+	}
+}
+
+// TestClassRunsRequireIndependence builds a Program by hand: a run must
+// consist of adjacent activations of one shared kernel, and a member
+// that loads a slot an earlier member stores splits the stretch.
+func TestClassRunsRequireIndependence(t *testing.T) {
+	copyK := func(id int32) *Kernel {
+		return &Kernel{ID: id, Shared: true, NumExt: 2, NumTemps: 1, Code: []Instr{
+			{Op: KLoadExt, Dst: 0, A: 0},
+			{Op: KStoreExt, Dst: 1, A: 0, Mask: ^uint64(0)},
+		}}
+	}
+	act := func(k int32, in, out int32) Activation {
+		return Activation{Kernel: k, Ext: []int32{in, out}}
+	}
+	p := &Program{Kernels: []*Kernel{copyK(0), copyK(1)}, NumSlots: 40}
+	p.Activations = []Activation{
+		act(0, 10, 11), act(0, 11, 12), // member 1 loads what member 0 stores
+		act(0, 20, 21), act(0, 22, 23), act(0, 24, 25),
+		act(1, 26, 27), // another kernel ends the run
+		act(0, 28, 29), act(0, 30, 31),
+	}
+	got := classRuns(p)
+	want := []ClassRun{{Start: 1, Len: 4}, {Start: 6, Len: 2}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("class runs = %v, want %v", got, want)
 	}
 }

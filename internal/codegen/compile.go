@@ -169,6 +169,7 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 		}
 		p.Activations = append(p.Activations, act)
 	}
+	p.ClassRuns = classRuns(p)
 
 	// Activation-weighted fusion stats: the dispatch count a full-activity
 	// cycle would execute, before vs after fusion. This is the number the

@@ -226,6 +226,11 @@ type Program struct {
 	Kernels []*Kernel
 	// Activations holds one activation per partition, in schedule order.
 	Activations []Activation
+	// ClassRuns lists, in schedule order, the stretches of Activations
+	// the one-lane engine may interpret as one kernel pass across class
+	// instances (see ClassRun). Nil when no shared kernel has adjacent
+	// independent activations, as under ESSENT.
+	ClassRuns []ClassRun
 	// NumSlots sizes the state vector.
 	NumSlots int
 	// NumParts is the partition count (for activity flags).

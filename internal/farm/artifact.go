@@ -44,8 +44,9 @@ import (
 // recompiled into the faster form) and the compile cost moved from the
 // gob body to the frame header; 5 = the fused compare-select opcode
 // deleted (every later opcode renumbers, and gob carries raw opcode
-// values).
-const ArtifactVersion = 5
+// values); 6 = Program gained ClassRuns (a version-5 artifact would
+// decode with none and silently run without the class gear).
+const ArtifactVersion = 6
 
 var artifactMagic = [4]byte{'D', 'S', 'A', 'R'}
 

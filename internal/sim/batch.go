@@ -67,6 +67,11 @@ type BatchEngine struct {
 	// consumer partition lands on its schedule position.
 	actDirty  []uint64
 	posOfPart []int32
+	// runEnd (one lane) indexes the Program's class runs for the class
+	// gear (classgear.go); classExt/classMems are its member-row scratch.
+	runEnd    []int32
+	classExt  [][]int32
+	classMems [][]int32
 	// active has bit l set while lane l is live; Deactivate clears it.
 	active uint64
 	// all is the full lane mask (lanes low bits set).
@@ -173,6 +178,7 @@ func NewBatch(p *codegen.Program, activity bool, lanes int) (*BatchEngine, error
 		for i := range p.Activations {
 			e.posOfPart[p.Activations[i].Part] = int32(i)
 		}
+		e.buildClassRuns()
 	} else {
 		e.dirty = make([]uint64, p.NumParts)
 	}
@@ -594,9 +600,12 @@ func (e *BatchEngine) commitRegLanes(r *codegen.RegSpec) {
 // word above its cursor, so a mark on a later activation runs this cycle
 // while a mark on the current or an earlier one waits for the next —
 // what a scan testing every activation's flag in order would do. With
-// activity off every activation is marked up front. The Engine hooks
-// cost one nil check per executed activation and one per write-port
-// commit.
+// activity off every activation is marked up front. An activation in a
+// class run with enough dirty members takes the class gear (runClass),
+// which runs all of them and moves the cursor past the run; with an
+// Engine hook set every activation runs alone, so the hooks see the
+// schedule-order stream. The hooks cost one nil check per executed
+// activation and one per write-port commit.
 func (e *BatchEngine) stepL1() {
 	p := e.p
 	st := e.state
@@ -608,14 +617,28 @@ func (e *BatchEngine) stepL1() {
 	if !e.activity {
 		setBits(dirty, len(p.Activations))
 	}
+	runEnd := e.runEnd
+	if e.onAct != nil || e.onMem != nil {
+		runEnd = nil
+	}
 	var executed, dyn int64
-	for w := range dirty {
+	for w := 0; w < len(dirty); w++ {
 		for m := dirty[w]; m != 0; {
 			b := uint(bits.TrailingZeros64(m))
 			dirty[w] &^= 1 << b
 			i := w<<6 | int(b)
 			act := &p.Activations[i]
 			k := p.Kernels[act.Kernel]
+			if runEnd != nil && runEnd[i] != 0 {
+				if n := e.runClass(i, int(runEnd[i])); n != 0 {
+					executed += int64(n)
+					dyn += int64(n * k.DynInstrs)
+					last := int(runEnd[i]) - 1 // resume the scan after the run
+					w = last >> 6
+					m = dirty[w] &^ (2<<uint(last&63) - 1)
+					continue
+				}
+			}
 			execKernel(p, k, act, st, e.temps, e.mems, e.markL1, onMem)
 			executed++
 			dyn += int64(k.DynInstrs)

@@ -28,7 +28,9 @@ type Engine struct {
 	DynInstrs int64
 
 	// OnActivation, when set, observes every *executed* activation in
-	// schedule order; the host performance model hooks in here.
+	// schedule order; the host performance model hooks in here. While
+	// either hook is set every activation runs alone, never through the
+	// class gear, so the stream keeps schedule order.
 	OnActivation func(actIdx int32)
 	// OnMemAccess, when set, observes memory-port traffic (reads during
 	// evaluation, committed writes) with concrete addresses for the data-

@@ -84,6 +84,8 @@ func runLaneEquivalence(t *testing.T, p *codegen.Program, activity bool, lanes i
 // identical with a one-lane engine on the same stream, including across
 // a mid-run snapshot restore in each direction. Eight lanes are what the
 // sparse lane-list gear needs (2 <= dirty < L/2), so every gear runs.
+// The one-lane engines take the class gear wherever a design has class
+// runs of minClassRun or more members, which three and four cores give.
 func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(4), uint64(1), true, uint8(0))
 	f.Add(uint8(1), uint8(2), uint8(2), uint64(7), false, uint8(1))
@@ -91,10 +93,11 @@ func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(6), uint64(3), true, uint8(0))
 	f.Add(uint8(0), uint8(1), uint8(4), uint64(5), true, uint8(2))
 	f.Add(uint8(2), uint8(2), uint8(1), uint64(9), false, uint8(2))
+	f.Add(uint8(1), uint8(3), uint8(2), uint64(11), true, uint8(2))
 	f.Fuzz(func(t *testing.T, famSel, cores, scalePct uint8, seed uint64, activity bool, laneSel uint8) {
 		fams := []gen.Family{gen.Rocket, gen.SmallBoom, gen.LargeBoom}
 		fam := fams[int(famSel)%len(fams)]
-		nc := 1 + int(cores%3)                   // 1..3 cores
+		nc := 1 + int(cores%4)                   // 1..4 cores
 		scale := 0.05 + float64(scalePct%8)*0.01 // 0.05..0.12
 		c, err := gen.Build(gen.Config(fam, nc, scale))
 		if err != nil {

@@ -21,6 +21,14 @@ type PartitionStats struct {
 	kernelOf []int32
 	dynCost  []int64 // modeled instructions per execution, per partition
 	cycles   int64
+
+	// Class runs (codegen.ClassRun) as the activation stream shows them:
+	// runOf maps an activation to its run or -1; a run executes in a
+	// cycle when any member does. runs counts those executions, members
+	// the members executed in them and runLen their static lengths.
+	runOf                 []int32
+	lastRun, lastRunCycle int64
+	runs, members, runLen int64
 }
 
 // NewPartitionStats attaches a statistics collector to a one-lane batch
@@ -43,9 +51,27 @@ func NewPartitionStats(b *BatchEngine) (*PartitionStats, error) {
 		st.kernelOf[act.Part] = act.Kernel
 		st.dynCost[act.Part] = int64(p.Kernels[act.Kernel].DynInstrs)
 	}
+	st.runOf = make([]int32, len(p.Activations))
+	for i := range st.runOf {
+		st.runOf[i] = -1
+	}
+	for r, run := range p.ClassRuns {
+		for i := run.Start; i < run.Start+run.Len; i++ {
+			st.runOf[i] = int32(r)
+		}
+	}
+	st.lastRun = -1
 	prev := b.onAct
 	b.onAct = func(actIdx int32) {
 		st.executed[p.Activations[actIdx].Part]++
+		if r := int64(st.runOf[actIdx]); r >= 0 {
+			if r != st.lastRun || st.cycles != st.lastRunCycle {
+				st.lastRun, st.lastRunCycle = r, st.cycles
+				st.runs++
+				st.runLen += int64(p.ClassRuns[r].Len)
+			}
+			st.members++
+		}
 		if prev != nil {
 			prev(actIdx)
 		}
@@ -67,6 +93,17 @@ func (st *PartitionStats) ActivityRate() float64 {
 		total += n
 	}
 	return float64(total) / float64(st.cycles) / float64(st.numParts)
+}
+
+// ClassLanes returns the mean members executed per executed class run,
+// and the mean static length of those runs: how many instances one
+// class-gear pass serves when the gear runs every dirty member at once.
+// Both are 0 when no class run executed.
+func (st *PartitionStats) ClassLanes() (executed, length float64) {
+	if st.runs == 0 {
+		return 0, 0
+	}
+	return float64(st.members) / float64(st.runs), float64(st.runLen) / float64(st.runs)
 }
 
 // Histogram buckets partitions by their activity rate.
@@ -103,6 +140,10 @@ func (st *PartitionStats) WriteReport(w io.Writer, p *codegen.Program, topN int)
 		if h[k] > 0 {
 			fmt.Fprintf(w, "  %-7s %d partitions\n", k, h[k])
 		}
+	}
+	if st.runs > 0 {
+		executed, length := st.ClassLanes()
+		fmt.Fprintf(w, "class runs: %d executed, %.2f of %.2f members each\n", st.runs, executed, length)
 	}
 	type hot struct {
 		part int32

@@ -98,3 +98,39 @@ func TestPartitionStatsChainedHook(t *testing.T) {
 		t.Fatalf("chained collectors disagree: %v vs %v", second.ActivityRate(), first.ActivityRate())
 	}
 }
+
+// TestPartitionStatsClassLanes: on a 4-core Dedup design the report
+// counts executed class runs, and a run never executes more members
+// than it has.
+func TestPartitionStatsClassLanes(t *testing.T) {
+	c := gen.MustBuild(gen.Config(gen.Rocket, 4, 0.1))
+	cv, err := harness.CompileVariant(c, harness.Dedup, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.NewBatch(cv.Program, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.NewPartitionStats(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive := stimulus.VVAddB().NewLaneDrive(e, 0)
+	for cyc := 0; cyc < 200; cyc++ {
+		drive(cyc)
+		e.Step()
+		st.Observe()
+	}
+	executed, length := st.ClassLanes()
+	if executed < 1 || executed > length || length > 4 {
+		t.Fatalf("class lanes %.2f of %.2f members, want 1 <= executed <= length <= 4", executed, length)
+	}
+	var sb strings.Builder
+	if err := st.WriteReport(&sb, cv.Program, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "class runs: ") {
+		t.Fatalf("report lacks the class-run line:\n%s", sb.String())
+	}
+}

@@ -257,8 +257,9 @@ func TestUniqueCodeBytesSumsKernels(t *testing.T) {
 }
 
 // TestClassRunsRequireIndependence builds a Program by hand: a run must
-// consist of adjacent activations of one shared kernel, and a member
-// that loads a slot an earlier member stores splits the stretch.
+// consist of at least MinClassRun adjacent activations of one shared
+// kernel, and a member that loads a slot an earlier member stores splits
+// the stretch.
 func TestClassRunsRequireIndependence(t *testing.T) {
 	copyK := func(id int32) *Kernel {
 		return &Kernel{ID: id, Shared: true, NumExt: 2, NumTemps: 1, Code: []Instr{
@@ -274,10 +275,12 @@ func TestClassRunsRequireIndependence(t *testing.T) {
 		act(0, 10, 11), act(0, 11, 12), // member 1 loads what member 0 stores
 		act(0, 20, 21), act(0, 22, 23), act(0, 24, 25),
 		act(1, 26, 27), // another kernel ends the run
-		act(0, 28, 29), act(0, 30, 31),
+		act(0, 28, 29), act(0, 30, 31), act(0, 32, 33),
+		act(1, 34, 35),
+		act(0, 36, 37), act(0, 38, 39), // too short to be a run
 	}
 	got := classRuns(p)
-	want := []ClassRun{{Start: 1, Len: 4}, {Start: 6, Len: 2}}
+	want := []ClassRun{{Start: 1, Len: 4}, {Start: 6, Len: 3}}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("class runs = %v, want %v", got, want)
 	}

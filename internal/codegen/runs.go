@@ -10,9 +10,19 @@ package codegen
 type ClassRun struct {
 	// Start indexes the run's first member in Program.Activations.
 	Start int32
-	// Len is the member count, at least 2.
+	// Len is the member count, at least MinClassRun.
 	Len int32
 }
+
+// MinClassRun is the fewest members a class run holds, and the fewest
+// dirty members for which the one-lane engine interprets a run in one
+// pass instead of one activation at a time. Below it the per-member
+// gather and the stride-n temp layout cost more than the dispatches
+// they save: a minimum of 2 ran 2-5 % slower than the per-activation
+// path on the 2-core designs, while 3 breaks even there and keeps the
+// 4- and 8-core gains (DESIGN.md "The interpreter hot path" has the
+// table).
+const MinClassRun = 3
 
 // extAccess lists the Ext-table indices a shared kernel's code reads
 // and writes.
@@ -21,8 +31,10 @@ type extAccess struct {
 }
 
 // kernelAccess returns k's Ext reads and writes, or nil when k cannot
-// join a run: a direct kernel, or code touching absolute state, which
-// would be the same slot in every member.
+// join a run: a direct kernel, or code with an opcode the one-lane class
+// pass (sim's execClass) does not implement. Absolute state accesses are
+// among those, since they would be the same slot in every member; an
+// opcode added later stays off runs until it is listed here and there.
 func kernelAccess(k *Kernel) *extAccess {
 	if !k.Shared {
 		return nil
@@ -31,8 +43,7 @@ func kernelAccess(k *Kernel) *extAccess {
 	for i := range k.Code {
 		in := &k.Code[i]
 		switch in.Op {
-		case KLoad, KStore, KLoadBit, KStoreBit, KBinStore, KMuxStore:
-			return nil
+		case KConst, KBin, KNot, KMux, KBits, KMemRead, KBinI, KNotAnd, KMuxMux, KBinBits:
 		case KLoadExt, KLoadBitExt:
 			ea.reads = append(ea.reads, in.A)
 		case KStoreExt, KStoreBitExt:
@@ -41,6 +52,8 @@ func kernelAccess(k *Kernel) *extAccess {
 			ea.writes = append(ea.writes, in.C)
 		case KMuxStoreExt:
 			ea.writes = append(ea.writes, int32(uint32(in.Val)))
+		default:
+			return nil
 		}
 	}
 	return ea
@@ -51,8 +64,8 @@ func kernelAccess(k *Kernel) *extAccess {
 // the first activation that runs another kernel or conflicts with a
 // member already in the run. The check reads the activations' code and
 // Ext tables, so a schedule that happens to interleave dependent
-// instances yields shorter runs, never wrong ones. Stretches of one
-// member are not runs.
+// instances yields shorter runs, never wrong ones. Stretches of fewer
+// than MinClassRun members are not runs.
 func classRuns(p *Program) []ClassRun {
 	access := make([]*extAccess, len(p.Kernels))
 	for i, k := range p.Kernels {
@@ -65,7 +78,7 @@ func classRuns(p *Program) []ClassRun {
 	var runs []ClassRun
 	run, start := int32(0), 0
 	flush := func(end int) {
-		if end-start >= 2 {
+		if end-start >= MinClassRun {
 			runs = append(runs, ClassRun{Start: int32(start), Len: int32(end - start)})
 		}
 	}

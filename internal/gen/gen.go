@@ -65,11 +65,6 @@ type SoCParams struct {
 	Peripherals int
 	// UncoreBlocks pads the uncore with inline logic blocks.
 	UncoreBlocks int
-	// DesyncValid gives each core its own valid: core i sees stim_valid
-	// AND bit i of its own input data, so replicated cores stop waking
-	// in lockstep. Off by default, which keeps the shared stim_valid and
-	// the generated text unchanged.
-	DesyncValid bool
 }
 
 // Family identifies a design generator family from the paper.
@@ -533,11 +528,7 @@ func (g *emitter) emitTop(p SoCParams) {
 		g.f("    inst core%d of %s", i, p.Core.ModuleName)
 		// Cores see the shared stimulus xored with their response channel.
 		g.f("    core%d.in_data <= xor(stim, uncore.resp%d)", i, i)
-		if p.DesyncValid {
-			g.f("    core%d.in_valid <= and(stim_valid, bits(xor(stim, uncore.resp%d), %d, %d))", i, i, i%w, i%w)
-		} else {
-			g.f("    core%d.in_valid <= stim_valid", i)
-		}
+		g.f("    core%d.in_valid <= stim_valid", i)
 		g.f("    core%d.grant <= uncore.grant%d", i, i)
 		g.f("    uncore.req%d <= core%d.out_req", i, i)
 		g.f("    uncore.data%d <= core%d.out_data", i, i)

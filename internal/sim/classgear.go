@@ -2,18 +2,9 @@ package sim
 
 import "dedupsim/internal/codegen"
 
-// minClassRun is the fewest dirty members for which stepL1 interprets a
-// class run in one pass (execClass) instead of one execKernel per
-// member. Below it the per-member gather and the stride-n temp layout
-// cost more than the dispatches they save: a minimum of 2 ran 2-5 %
-// slower than the per-activation path on the 2-core designs, while 3
-// breaks even there and keeps the 4- and 8-core gains (DESIGN.md "The
-// interpreter hot path" has the table).
-const minClassRun = 3
-
-// buildClassRuns indexes the Program's class runs of at least
-// minClassRun members for the one-lane worklist: runEnd[i] is one past
-// the last member of the run holding activation i, or 0 outside them.
+// buildClassRuns indexes the Program's class runs for the one-lane
+// worklist: runEnd[i] is one past the last member of the run holding
+// activation i, or 0 outside them.
 // It also sizes the gear's scratch: member Ext/Mems rows and temps at
 // stride n for the longest run. Without such runs (ESSENT, every 2-core
 // design) runEnd stays nil, which costs stepL1 one test per step.
@@ -21,9 +12,6 @@ func (e *BatchEngine) buildClassRuns() {
 	p := e.p
 	maxLen, maxTemps := 0, len(e.temps)
 	for _, r := range p.ClassRuns {
-		if r.Len < minClassRun {
-			continue
-		}
 		if e.runEnd == nil {
 			e.runEnd = make([]int32, len(p.Activations))
 		}
@@ -43,7 +31,7 @@ func (e *BatchEngine) buildClassRuns() {
 
 // runClass is the class gear's entry from the worklist, which has just
 // reached (and cleared) activation i of the run ending before end. With
-// at least minClassRun members dirty from i on, it clears theirs, runs
+// at least codegen.MinClassRun members dirty from i on, it clears theirs, runs
 // the kernel once across all of them and returns their count; otherwise
 // it touches nothing and returns 0, and the caller runs i alone. Members
 // before i stay as they are: a mark that landed there after the cursor
@@ -54,7 +42,7 @@ func (e *BatchEngine) runClass(i, end int) int {
 	for j := i + 1; j < end; j++ {
 		n += int(dirty[j>>6] >> uint(j&63) & 1)
 	}
-	if n < minClassRun {
+	if n < codegen.MinClassRun {
 		return 0
 	}
 	acts := e.p.Activations
@@ -186,6 +174,8 @@ func (e *BatchEngine) execClass(k *codegen.Kernel, exts, mems [][]int32) {
 					e.markConsumers(slot, 1)
 				}
 			}
+		default:
+			panic("sim: class run kernel has an opcode the class gear does not implement")
 		}
 	}
 }

@@ -42,8 +42,8 @@ func TestClassGearMatchesPerActivation(t *testing.T) {
 				activity := cv.Activity && !vr.activityOff
 				name := fmt.Sprintf("%s-%dC@%v/%s/activity=%v", fam, sz.cores, sz.scale, vr.v, activity)
 				t.Run(name, func(t *testing.T) {
-					if vr.v == harness.Dedup && sz.cores >= 4 && longestRun(cv.Program) < 3 {
-						t.Fatalf("no class run of 3 or more members: the gear never runs here")
+					if vr.v == harness.Dedup && sz.cores >= 4 && longestRun(cv.Program) < codegen.MinClassRun {
+						t.Fatalf("no class run: the gear never runs here")
 					}
 					runClassGearEquivalence(t, cv.Program, activity, uint64(sz.cores), cycles)
 				})

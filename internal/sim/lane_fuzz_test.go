@@ -85,7 +85,7 @@ func runLaneEquivalence(t *testing.T, p *codegen.Program, activity bool, lanes i
 // a mid-run snapshot restore in each direction. Eight lanes are what the
 // sparse lane-list gear needs (2 <= dirty < L/2), so every gear runs.
 // The one-lane engines take the class gear wherever a design has class
-// runs of minClassRun or more members, which three and four cores give.
+// runs, which three and four cores give.
 func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(1), uint8(4), uint64(1), true, uint8(0))
 	f.Add(uint8(1), uint8(2), uint8(2), uint64(7), false, uint8(1))

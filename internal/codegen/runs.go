@@ -44,6 +44,7 @@ func kernelAccess(k *Kernel) *extAccess {
 		in := &k.Code[i]
 		switch in.Op {
 		case KConst, KBin, KNot, KMux, KBits, KMemRead, KBinI, KNotAnd, KMuxMux, KBinBits:
+			// Temps and memory reads only: no state slot to check.
 		case KLoadExt, KLoadBitExt:
 			ea.reads = append(ea.reads, in.A)
 		case KStoreExt, KStoreBitExt:

@@ -75,10 +75,8 @@ func (p *peerList) Set(v string) error {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per member on the placement ring (0 = default 64)")
 	heartbeat := flag.Duration("heartbeat", 0, "node probe period (0 = default 1s)")
 	deadAfter := flag.Int("dead-after", 0, "consecutive missed probes before a node is dead and its jobs migrate (0 = default 3)")
-	loadFactor := flag.Float64("load-factor", 0, "bounded-load spill threshold factor (0 = default 1.25)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe HTTP timeout (0 = default 2s)")
 	maxJobs := flag.Int("max-jobs", 0, "non-terminal fleet jobs admitted before shedding with 429 (0 = default 4096)")
 	logFormat := flag.String("log-format", "text", "log output format: text (key=value lines) or json")
@@ -120,10 +118,8 @@ func main() {
 		os.Exit(1)
 	}
 	r, err := cluster.OpenRouter(cluster.RouterConfig{
-		VirtualNodes:   *vnodes,
 		HeartbeatEvery: *heartbeat,
 		DeadAfter:      *deadAfter,
-		LoadFactor:     *loadFactor,
 		ProbeTimeout:   *probeTimeout,
 		MaxJobs:        *maxJobs,
 		DataDir:        *dataDir,

@@ -27,11 +27,13 @@
 // outstanding (those are canceled) or the server failed.
 //
 // With -data-dir the daemon is durable: job lifecycle is journaled,
-// checkpoints and compile-cache metadata persist, and a restart — even
+// checkpoints and compile artifacts persist, and a restart — even
 // after SIGKILL — replays the journal, re-admits unfinished jobs
-// (resuming from their newest valid checkpoint), and recompiles known
-// designs warm before taking traffic. -fsync trades journal safety
-// against write amplification (always / interval / none).
+// (resuming from their newest valid checkpoint), and decodes the
+// persisted artifacts into warm cache entries before taking traffic.
+// A damaged artifact is dropped; its design compiles on first use.
+// -fsync trades journal safety against write amplification (always /
+// interval / none).
 //
 // For chaos testing, -fault-inject arms deterministic fault injection,
 // e.g. -fault-inject 'worker.crash=0.01,compile.stall=0.1' (see
@@ -79,7 +81,7 @@ func main() {
 	retries := flag.Int("retries", 0, "max retries per transiently failed job (0 = default 1, negative = off)")
 	backoff := flag.Duration("retry-backoff", 100*time.Millisecond, "base retry backoff, doubled per attempt with jitter (0 = immediate)")
 	stuck := flag.Duration("stuck-timeout", 0, "preempt and retry jobs that report no progress for this long (0 = watchdog off)")
-	dataDir := flag.String("data-dir", "", "durable data directory: journal job lifecycle, persist checkpoints and compile-cache metadata, and recover all of it on restart (empty = in-memory only)")
+	dataDir := flag.String("data-dir", "", "durable data directory: journal job lifecycle, persist checkpoints and compile artifacts, and recover all of it on restart (empty = in-memory only)")
 	fsync := flag.String("fsync", "", "journal fsync policy with -data-dir: always, interval, none (default interval)")
 	fsyncInterval := flag.Duration("fsync-interval", 0, "group-commit period for -fsync interval (0 = default 100ms)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before canceling them")
@@ -173,7 +175,7 @@ func main() {
 			"jobs_readmitted", rec.JobsRecovered,
 			"checkpoints_loaded", rec.CheckpointsLoaded,
 			"checkpoints_corrupt", rec.CheckpointsCorruptDropped,
-			"cache_entries_warmed", rec.CacheEntriesWarmed,
+			"cache_entries_warmed", rec.WarmEntries,
 			"recovery_ms", rec.RecoveryMillis)
 		if rec.JournalBytesDropped > 0 {
 			logger.Warn("journal tail truncated", "torn_bytes", rec.JournalBytesDropped)

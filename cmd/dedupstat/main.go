@@ -119,14 +119,9 @@ func main() {
 	fmt.Printf("\ncodegen:\n")
 	fmt.Printf("  instructions:       %d -> %d after fusion (%.1f%% of dispatched instrs fused away)\n",
 		p.Fusion.InstrsBefore, p.Fusion.InstrsAfter, 100*p.Fusion.Frac())
-	if len(p.Fusion.FusedByKind) > 0 {
-		kinds := make([]string, 0, len(p.Fusion.FusedByKind))
-		for k := range p.Fusion.FusedByKind {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for _, k := range kinds {
-			fmt.Printf("    %-16s %d\n", k+":", p.Fusion.FusedByKind[k])
+	for k, n := range p.Fusion.FusedByKind {
+		if n > 0 {
+			fmt.Printf("    %-16s %d\n", codegen.FusionKind(k).String()+":", n)
 		}
 	}
 	fmt.Printf("  1-bit packing:      %d signals in %d words (state %d slots -> %d words)\n",

@@ -69,9 +69,9 @@ type Registry struct {
 	members map[string]*member
 }
 
-// NewRegistry returns an empty registry; vnodes as in NewRing.
-func NewRegistry(vnodes int) *Registry {
-	return &Registry{ring: NewRing(vnodes), members: map[string]*member{}}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{ring: NewRing(), members: map[string]*member{}}
 }
 
 // Register admits a node. Rules:

@@ -20,7 +20,7 @@ import (
 )
 
 // Ring is a consistent-hash ring with virtual nodes. Each member owns
-// VirtualNodes points on a 64-bit circle; a key belongs to the member
+// DefaultVirtualNodes points on a 64-bit circle; a key belongs to the member
 // owning the first point at or after the key's hash. Adding or removing
 // one member moves only the keys adjacent to its points — about 1/N of
 // the keyspace — so a node joining or dying does not reshuffle the whole
@@ -29,7 +29,6 @@ import (
 // Ring is not safe for concurrent use; the Router guards it with its own
 // mutex.
 type Ring struct {
-	vnodes  int
 	members map[string]struct{}
 	points  []ringPoint // sorted by hash
 }
@@ -39,16 +38,14 @@ type ringPoint struct {
 	id string
 }
 
-// DefaultVirtualNodes balances placement smoothness (stddev of shard
-// sizes ~ 1/sqrt(vnodes)) against ring-rebuild cost.
+// DefaultVirtualNodes is each member's point count on the ring. It
+// balances placement smoothness (stddev of shard sizes ~ 1/sqrt(points))
+// against ring-rebuild cost.
 const DefaultVirtualNodes = 64
 
-// NewRing returns an empty ring; vnodes <= 0 uses DefaultVirtualNodes.
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	return &Ring{vnodes: vnodes, members: map[string]struct{}{}}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: map[string]struct{}{}}
 }
 
 func hash64(s string) uint64 {
@@ -63,7 +60,7 @@ func (r *Ring) Add(id string) {
 		return
 	}
 	r.members[id] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < DefaultVirtualNodes; i++ {
 		r.points = append(r.points, ringPoint{h: hash64(fmt.Sprintf("%s#%d", id, i)), id: id})
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].h < r.points[b].h })

@@ -28,7 +28,7 @@ func owners(r *Ring, keys []string) map[string]string {
 // existing nodes.
 func TestRingRebalanceOnAdd(t *testing.T) {
 	const nodes, nkeys = 5, 2000
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < nodes; i++ {
 		r.Add(fmt.Sprintf("node-%d", i))
 	}
@@ -64,7 +64,7 @@ func TestRingRebalanceOnAdd(t *testing.T) {
 // nothing else.
 func TestRingRebalanceOnRemove(t *testing.T) {
 	const nodes, nkeys = 5, 2000
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < nodes; i++ {
 		r.Add(fmt.Sprintf("node-%d", i))
 	}
@@ -100,7 +100,7 @@ func TestRingRebalanceOnRemove(t *testing.T) {
 // TestRingSuccessors: the fallback chain starts at the key's owner,
 // never repeats a member, and clamps at the member count.
 func TestRingSuccessors(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 4; i++ {
 		r.Add(fmt.Sprintf("node-%d", i))
 	}
@@ -125,7 +125,7 @@ func TestRingSuccessors(t *testing.T) {
 // TestRingEmptyAndSingle covers the degenerate rings the router hits
 // during fleet bring-up and after the last node dies.
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if got := r.Owner("anything"); got != "" {
 		t.Fatalf("empty ring owns %q, want none", got)
 	}

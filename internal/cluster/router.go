@@ -21,9 +21,6 @@ import (
 
 // RouterConfig sizes the router tier.
 type RouterConfig struct {
-	// VirtualNodes per member on the placement ring (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// HeartbeatEvery is the node-probe period (default 1s). The probe
 	// carries liveness and replication (checkpoint pulls, artifacts);
 	// job completion does not wait for it, since every placed job is
@@ -33,11 +30,6 @@ type RouterConfig struct {
 	// (default 3). Between the first miss and death a node is "suspect":
 	// no new placements, no migration yet.
 	DeadAfter int
-	// LoadFactor is the bounded-load spill threshold: a key's primary
-	// owner is skipped when its router-tracked load exceeds
-	// ceil(LoadFactor * (jobs+1) / nodes) (default 1.25, the classic
-	// consistent-hashing-with-bounded-loads constant).
-	LoadFactor float64
 	// ProbeTimeout bounds each HTTP call to a node (default 2s); a
 	// completion watcher's long poll waits half of it.
 	ProbeTimeout time.Duration
@@ -86,17 +78,11 @@ type RouterConfig struct {
 }
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
 	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 3
-	}
-	if c.LoadFactor <= 1 {
-		c.LoadFactor = 1.25
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
@@ -309,7 +295,7 @@ func OpenRouter(cfg RouterConfig) (*Router, error) {
 	r := &Router{
 		cfg:           cfg,
 		client:        &http.Client{Timeout: cfg.ProbeTimeout},
-		registry:      NewRegistry(cfg.VirtualNodes),
+		registry:      NewRegistry(),
 		jobs:          map[string]*fleetJob{},
 		routeKeys:     lru.New[farm.DesignKey, string](maxRouteKeys),
 		artifacts:     lru.New[string, []byte](maxArtifacts),
@@ -435,6 +421,12 @@ func (r *Router) mintIDLocked() string {
 	return fmt.Sprintf("%s-fj-%d", r.routerID, r.nextID)
 }
 
+// loadFactor is the bounded-load spill threshold: a key's primary owner
+// is skipped when its router-tracked load reaches
+// ceil(loadFactor * (jobs+1) / nodes). 1.25 is the classic
+// consistent-hashing-with-bounded-loads constant.
+const loadFactor = 1.25
+
 // placeLocked picks the owner for key under bounded load: walk the
 // key's successor chain, take the first placeable node whose load is
 // under the threshold; if every placeable node is over (can't happen
@@ -454,7 +446,7 @@ func (r *Router) placeLocked(key string) []*member {
 	if len(placeable) == 0 {
 		return nil
 	}
-	threshold := int(math.Ceil(r.cfg.LoadFactor * float64(total+1) / float64(len(placeable))))
+	threshold := int(math.Ceil(loadFactor * float64(total+1) / float64(len(placeable))))
 	var under, over []*member
 	for _, id := range g.ring.Successors(key, g.ring.Len()) {
 		m := g.get(id)

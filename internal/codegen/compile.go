@@ -67,12 +67,9 @@ func Compile(c *circuit.Circuit, dr *dedup.Result, s *sched.Schedule, opt Option
 		}
 		before := len(code)
 		if !opt.DisableFusion {
-			var kinds map[string]int
+			var kinds [NumFusionKinds]int
 			code, kinds = fuseKernel(code)
 			for kind, n := range kinds {
-				if p.Fusion.FusedByKind == nil {
-					p.Fusion.FusedByKind = map[string]int{}
-				}
 				p.Fusion.FusedByKind[kind] += n
 			}
 		}

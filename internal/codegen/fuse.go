@@ -91,9 +91,9 @@ func instrDefsTemp(op OpCode) bool {
 // returns the new instruction stream plus per-pattern fusion counts.
 // The input slice is not retained; instruction Masks must already be
 // populated (fusion combines them).
-func fuseKernel(code []Instr) ([]Instr, map[string]int) {
+func fuseKernel(code []Instr) (out []Instr, fused [NumFusionKinds]int) {
 	if len(code) == 0 {
-		return code, nil
+		return code, fused
 	}
 	nTemps := int32(0)
 	for i := range code {
@@ -114,7 +114,6 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 		}
 	}
 	dead := make([]bool, len(code))
-	fused := map[string]int{}
 
 	// defOf resolves a temp to its live defining instruction index.
 	defOf := func(t int32) int32 {
@@ -144,7 +143,7 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 			in.Op = KBinI
 			in.Val = code[d].Val
 			in.B = 0
-			fused["bin_imm"]++
+			fused[FuseBinImm]++
 		}
 	}
 	for i := range code {
@@ -168,7 +167,7 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 				in.Mask &= n.Mask
 				in.A = n.A
 				dead[d] = true
-				fused["not_and"]++
+				fused[FuseNotAnd]++
 			} else if d := defOf(in.B); d >= 0 && code[d].Op == KNot && use[in.B] == 1 {
 				n := &code[d]
 				use[in.B]--
@@ -177,7 +176,7 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 				in.B = in.A
 				in.A = n.A
 				dead[d] = true
-				fused["not_and"]++
+				fused[FuseNotAnd]++
 			}
 		case KBits:
 			if d := defOf(in.A); d >= 0 && code[d].Op == KBin && code[d].BinOp != circuit.OpCat && use[in.A] == 1 {
@@ -190,7 +189,7 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 				in.Mask = src.Mask   // bin-result mask
 				in.A, in.B = src.A, src.B
 				dead[d] = true
-				fused["bin_bits"]++
+				fused[FuseBinBits]++
 			}
 		case KMux:
 			if d := defOf(in.C); d >= 0 && code[d].Op == KMux && use[in.C] == 1 {
@@ -200,7 +199,7 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 				in.C = m2.A
 				in.Val = uint64(uint32(m2.B)) | uint64(uint32(m2.C))<<32
 				dead[d] = true
-				fused["mux_mux"]++
+				fused[FuseMuxMux]++
 			}
 		}
 	}
@@ -229,7 +228,7 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 			src.C = in.Dst
 			use[in.A]--
 			dead[i] = true
-			fused["bin_store"]++
+			fused[FuseBinStore]++
 		case KMux:
 			if in.Op == KStore {
 				src.Op = KMuxStore
@@ -240,14 +239,14 @@ func fuseKernel(code []Instr) ([]Instr, map[string]int) {
 			src.Mask = in.Mask
 			use[in.A]--
 			dead[i] = true
-			fused["mux_store"]++
+			fused[FuseMuxStore]++
 		}
 	}
 
-	if len(fused) == 0 {
-		return code, nil
+	if fused == ([NumFusionKinds]int{}) {
+		return code, fused
 	}
-	out := make([]Instr, 0, len(code))
+	out = make([]Instr, 0, len(code))
 	for i := range code {
 		if !dead[i] {
 			out = append(out, code[i])

@@ -319,10 +319,30 @@ type FusionStats struct {
 	// interpreter dispatches a full-activity cycle would execute.
 	ActInstrsBefore int64 `json:"act_instrs_before"`
 	ActInstrsAfter  int64 `json:"act_instrs_after"`
-	// FusedByKind counts static fusions per pattern (bin_imm, not_and,
-	// mux_mux, bin_bits, bin_store, mux_store).
-	FusedByKind map[string]int `json:"fused_by_kind,omitempty"`
+	// FusedByKind counts static fusions per pattern, indexed by
+	// FusionKind. A fixed-order array, not a map, so a Program encodes to
+	// the same bytes every time.
+	FusedByKind [NumFusionKinds]int `json:"fused_by_kind"`
 }
+
+// FusionKind names one superinstruction fusion pattern. The kinds are
+// numbered in the alphabetical order of their names, the order
+// dedupstat prints them in.
+type FusionKind int
+
+const (
+	FuseBinBits FusionKind = iota
+	FuseBinImm
+	FuseBinStore
+	FuseMuxMux
+	FuseMuxStore
+	FuseNotAnd
+	NumFusionKinds
+)
+
+var fusionKindNames = [NumFusionKinds]string{"bin_bits", "bin_imm", "bin_store", "mux_mux", "mux_store", "not_and"}
+
+func (k FusionKind) String() string { return fusionKindNames[k] }
 
 // Frac is the activation-weighted fraction of interpreter dispatches
 // fusion eliminated (0 when fusion did nothing or was disabled).

@@ -1,7 +1,7 @@
 // Package durable is the crash-safety layer of the farm and the fleet
 // router: a write-ahead journal (jobs for a farm, placements for a
-// router), a persistent checkpoint store, and disk-backed tiers for the
-// compile cache and its artifacts, all under one data directory. The paper's headline win
+// router), a persistent checkpoint store, and a disk tier of compile
+// artifacts, all under one data directory. The paper's headline win
 // is batch throughput over long campaigns (Section 6.6 runs for days);
 // a campaign that outlives any single process needs its admitted jobs,
 // checkpoints, and compiled-design knowledge to survive a restart.
@@ -9,12 +9,14 @@
 // Design rules, in order:
 //
 //  1. Never load torn or corrupt data. Every journal record is framed
-//     with a length and a CRC32C; checkpoint and cache files are written
-//     to a temp file and atomically renamed, and checkpoints carry their
-//     own checksum (sim.Snapshot's encoding).
+//     with a length and a CRC32C; checkpoint and artifact files are
+//     written to a temp file and atomically renamed, and both carry
+//     their own checksum (sim.Snapshot's and farm.EncodeArtifact's
+//     encodings).
 //  2. Degrade, don't die. A truncated or corrupt journal tail is dropped
 //     (the valid prefix replays); a corrupt checkpoint falls back to an
-//     older one or to cycle 0; a corrupt cache entry is deleted.
+//     older one or to cycle 0; a corrupt artifact is deleted and its
+//     design compiles again on first use.
 //  3. Fail fast only on structural problems an operator must fix: an
 //     unwritable data directory or a journal from an incompatible format
 //     version.

@@ -443,26 +443,6 @@ func TestCheckpointNeverMissing(t *testing.T) {
 	}
 }
 
-// TestCacheEntries: save/load/remove round trip.
-func TestCacheEntries(t *testing.T) {
-	s := openTemp(t, Options{})
-	defer s.Close()
-	if err := s.SaveCacheEntry("abc-Dedup", []byte(`{"k":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveCacheEntry("def-ESSENT", []byte(`{"k":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	ents := s.CacheEntries()
-	if len(ents) != 2 || string(ents["abc-Dedup"]) != `{"k":1}` {
-		t.Fatalf("CacheEntries = %v", ents)
-	}
-	s.RemoveCacheEntry("abc-Dedup")
-	if ents := s.CacheEntries(); len(ents) != 1 {
-		t.Fatalf("after remove: %v", ents)
-	}
-}
-
 // TestPlacementRoundTrip pins the placement vocabulary through
 // encode+decode.
 func TestPlacementRoundTrip(t *testing.T) {

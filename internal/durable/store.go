@@ -67,7 +67,6 @@ func ParsePolicy(s string) (FsyncPolicy, error) {
 //
 //	<dir>/journal.wal        write-ahead job journal (placements.wal for a router)
 //	<dir>/checkpoints/       <job>.ckpt (+ <job>.ckpt.prev), atomic renames
-//	<dir>/cache/             <key>.json compiled-design metadata
 //	<dir>/artifacts/         <key>.bin encoded compile artifacts (fetch-by-hash)
 //
 // All methods are safe for concurrent use. After Freeze or Abandon every
@@ -80,7 +79,7 @@ type Store struct {
 	opts Options
 	kind journalKind
 
-	ckpts, cache, artifacts blobTier
+	ckpts, artifacts blobTier
 
 	mu     sync.Mutex
 	f      *os.File
@@ -117,10 +116,9 @@ func openStore(opts Options, kind journalKind) (*Store, error) {
 	s := &Store{
 		dir: opts.Dir, opts: opts, kind: kind,
 		ckpts:     blobTier{filepath.Join(opts.Dir, "checkpoints"), ".ckpt"},
-		cache:     blobTier{filepath.Join(opts.Dir, "cache"), ".json"},
 		artifacts: blobTier{filepath.Join(opts.Dir, "artifacts"), ".bin"},
 	}
-	for _, d := range []string{opts.Dir, s.ckpts.dir, s.cache.dir, s.artifacts.dir} {
+	for _, d := range []string{opts.Dir, s.ckpts.dir, s.artifacts.dir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("durable: data dir: %w", err)
 		}
@@ -288,7 +286,7 @@ func (s *Store) flusher() {
 	}
 }
 
-// Freeze stops all future writes (journal, checkpoints, cache) without
+// Freeze stops all future writes (journal, checkpoints, artifacts) without
 // dropping what was already appended; Close will still flush buffered
 // records. The farm freezes at shutdown so cancellations caused by the
 // shutdown itself are not journaled — those jobs re-admit on restart.
@@ -342,7 +340,7 @@ func (s *Store) Close() error {
 
 // blobTier is one directory of name→bytes files, <dir>/<name><ext>,
 // each written to <name><ext>.tmp and atomically renamed into place.
-// The checkpoint, cache and artifact tiers are three of them.
+// The checkpoint and artifact tiers are two of them.
 type blobTier struct{ dir, ext string }
 
 func (t blobTier) path(name string) string { return filepath.Join(t.dir, name+t.ext) }
@@ -448,35 +446,13 @@ func (s *Store) RemoveCheckpoint(job string) {
 	os.Remove(s.ckpts.path(job) + ".prev")
 }
 
-// --- compile-cache and compile-artifact tiers ---
+// --- compile-artifact tier ---
 //
-// Both are keyed by the same hash-variant names. The cache tier holds a
-// compiled design's metadata, the self-healing fallback (recompile from
-// source, verify the hash); the artifact tier holds the serialized
-// compiled Program itself, the fast path (decode, skip the compile) and
-// the unit the fleet ships between nodes. The bytes are opaque here —
-// artifacts carry their own framing and checksum (farm.EncodeArtifact).
-
-// SaveCacheEntry persists one compile-cache entry's metadata (design
-// source + identity) atomically. No-op once frozen.
-func (s *Store) SaveCacheEntry(name string, data []byte) error {
-	return s.saveBlob(s.cache, name, data)
-}
-
-// CacheEntries loads every persisted cache entry, keyed by name.
-func (s *Store) CacheEntries() map[string][]byte {
-	out := map[string][]byte{}
-	for _, name := range s.cache.names() {
-		if data, ok := s.cache.load(name); ok {
-			out[name] = data
-		}
-	}
-	return out
-}
-
-// RemoveCacheEntry deletes one cache entry (recovery GC of entries that
-// no longer decode or compile). No-op once frozen.
-func (s *Store) RemoveCacheEntry(name string) { s.removeBlob(s.cache, name) }
+// Keyed by hash-variant names (farm.ArtifactKey). Each file is one
+// serialized compiled Program: the only persisted form of a compile. A
+// restarted farm decodes it instead of recompiling, and the fleet ships
+// the same bytes between nodes. The bytes are opaque here — artifacts
+// carry their own framing and checksum (farm.EncodeArtifact).
 
 // SaveArtifact persists one encoded compile artifact atomically. No-op
 // once frozen.
@@ -491,7 +467,7 @@ func (s *Store) LoadArtifact(name string) ([]byte, bool) { return s.artifacts.lo
 func (s *Store) Artifacts() []string { return s.artifacts.names() }
 
 // RemoveArtifact deletes one artifact (recovery GC of artifacts that no
-// longer decode or whose cache metadata is gone). No-op once frozen.
+// longer decode). No-op once frozen.
 func (s *Store) RemoveArtifact(name string) { s.removeBlob(s.artifacts, name) }
 
 func (s *Store) saveBlob(t blobTier, name string, data []byte) error {

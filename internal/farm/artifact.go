@@ -45,8 +45,10 @@ import (
 // gob body to the frame header; 5 = the fused compare-select opcode
 // deleted (every later opcode renumbers, and gob carries raw opcode
 // values); 6 = Program gained ClassRuns (a version-5 artifact would
-// decode with none and silently run without the class gear).
-const ArtifactVersion = 6
+// decode with none and silently run without the class gear); 7 =
+// FusionStats.FusedByKind became a fixed-order array, so one Program
+// always encodes to the same bytes.
+const ArtifactVersion = 7
 
 var artifactMagic = [4]byte{'D', 'S', 'A', 'R'}
 
@@ -130,9 +132,19 @@ func DecodeArtifact(data []byte) (*harness.Compiled, time.Duration, error) {
 }
 
 // ArtifactKey is the fleet-wide name of one artifact: the structural
-// hash and variant, rendered "hash-variant" (identical to the durable
-// tier's cache-entry names).
+// hash and variant, rendered "hash-variant". The durable tier names its
+// artifact files the same way.
 func ArtifactKey(hash, variant string) string { return hash + "-" + variant }
+
+// splitArtifactKey inverts ArtifactKey. The hash is exactly 64 hex
+// chars; variants may themselves contain '-' ("Verilator-NoDedup"), so
+// the split is positional, not on the first dash.
+func splitArtifactKey(key string) (hash, variant string, ok bool) {
+	if len(key) < 66 || key[64] != '-' {
+		return "", "", false
+	}
+	return key[:64], key[65:], true
+}
 
 // ExportArtifact encodes the completed cache entry for the given
 // structural hash and variant, or reports false when this node has no
@@ -159,7 +171,7 @@ func (f *Farm) ExportArtifact(hash, variant string) ([]byte, bool) {
 // entry so the Get that follows hits instead of compiling. Every failure
 // (no hook, fetch error, corrupt bytes, variant mismatch, racing local
 // compile) silently falls through to the normal compile path.
-func (f *Farm) fetchArtifactWarm(ctx context.Context, spec JobSpec, key CacheKey) {
+func (f *Farm) fetchArtifactWarm(ctx context.Context, key CacheKey) {
 	if f.cfg.FetchArtifact == nil || f.cache.Has(key) {
 		return
 	}
@@ -177,8 +189,6 @@ func (f *Farm) fetchArtifactWarm(ctx context.Context, spec JobSpec, key CacheKey
 	f.mu.Lock()
 	f.artifactsFetched++
 	f.mu.Unlock()
-	// Persist fetched warmth like a local compile: metadata for the
-	// hash-verified recompile fallback, bytes for the fast path.
-	f.persistCompile(spec, key, compileTime)
+	// Persist fetched warmth like a local compile.
 	f.persistArtifact(key, data)
 }

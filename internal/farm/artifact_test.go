@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -9,6 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dedupsim/internal/harness"
+	"dedupsim/internal/partition"
 )
 
 // exportedArtifact runs one job on a throwaway farm and exports its
@@ -168,77 +172,144 @@ func TestFarmFetchArtifactFallsBack(t *testing.T) {
 }
 
 // TestFarmDurableArtifactWarmRestart: with a data dir, a restart warms
-// the compile cache from the persisted artifact bytes (the fast path —
-// no recompile), and a corrupted artifact file silently degrades to the
-// hash-verified recompile fallback.
+// the compile cache from the persisted artifact bytes, without a
+// recompile. A corrupted artifact is removed at recovery; the design
+// then compiles on its first job, which re-persists the artifact for
+// the restart after that.
 func TestFarmDurableArtifactWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	spec := smallSpec()
 
+	// runOne opens the farm, checks how many entries recovery warmed,
+	// runs spec once and reports whether the job hit the cache.
+	runOne := func(what string, wantWarmed int64) bool {
+		t.Helper()
+		f, err := Open(durableCfg(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if rec := f.RecoveryStats(); rec == nil || rec.WarmEntries != wantWarmed {
+			t.Fatalf("%s: recovery = %+v, want %d cache entries warmed", what, rec, wantWarmed)
+		}
+		j, err := f.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitDone(t, f, j.ID)
+		if v.Status != StatusDone {
+			t.Fatalf("%s: job %s (%s)", what, v.Status, v.Error)
+		}
+		return v.CacheHit
+	}
+	artifacts := func() []string {
+		t.Helper()
+		arts, err := filepath.Glob(filepath.Join(dir, "artifacts", "*.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arts
+	}
+
+	if runOne("cold start", 0) {
+		t.Fatal("cold start: first job hit the cache")
+	}
+	arts := artifacts()
+	if len(arts) != 1 {
+		t.Fatalf("persisted artifacts = %v, want exactly 1", arts)
+	}
+	if !runOne("warm restart", 1) {
+		t.Fatal("warm restart: job missed the cache, want a hit on the artifact-warmed entry")
+	}
+
+	// Corrupt the artifact bytes: recovery removes the file and warms
+	// nothing; the job compiles and persists a fresh artifact.
+	if err := os.WriteFile(arts[0], []byte("scribbled over"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if runOne("after corruption", 0) {
+		t.Fatal("after corruption: job hit the cache, want a compile")
+	}
+	if got := artifacts(); len(got) != 1 {
+		t.Fatalf("artifacts after the recompile = %v, want the one re-persisted", got)
+	} else if data, err := os.ReadFile(got[0]); err != nil {
+		t.Fatal(err)
+	} else if _, _, err := DecodeArtifact(data); err != nil {
+		t.Fatalf("re-persisted artifact does not decode: %v", err)
+	}
+	if !runOne("restart after the recompile", 1) {
+		t.Fatal("restart after the recompile: job missed the cache")
+	}
+}
+
+// TestFarmWarmsParentLayoutDataDir: a data dir written before the
+// artifact became the only persisted form of a compile holds a
+// cache/<key>.json metadata file beside each artifact. Recovery warms
+// the same entries from the artifacts and leaves cache/ alone.
+func TestFarmWarmsParentLayoutDataDir(t *testing.T) {
+	dir := t.TempDir()
 	f, err := Open(durableCfg(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := f.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := waitDone(t, f, j.ID); v.Status != StatusDone {
-		t.Fatalf("first run: %s (%s)", v.Status, v.Error)
+	var specs []JobSpec
+	for _, variant := range []string{"Dedup", "ESSENT"} {
+		spec := smallSpec()
+		spec.Variant = variant
+		specs = append(specs, spec)
+		j, err := f.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitDone(t, f, j.ID); v.Status != StatusDone {
+			t.Fatalf("%s: %s (%s)", variant, v.Status, v.Error)
+		}
 	}
 	f.Close()
 
 	arts, err := filepath.Glob(filepath.Join(dir, "artifacts", "*.bin"))
-	if err != nil || len(arts) != 1 {
-		t.Fatalf("persisted artifacts = %v (err %v), want exactly 1", arts, err)
+	if err != nil || len(arts) != 2 {
+		t.Fatalf("persisted artifacts = %v (err %v), want 2", arts, err)
+	}
+	cacheDir := filepath.Join(dir, "cache")
+	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	metas := map[string]string{}
+	for _, a := range arts {
+		name := strings.TrimSuffix(filepath.Base(a), ".bin")
+		meta := filepath.Join(cacheDir, name+".json")
+		body := `{"design":"Rocket-2C","scale":0.1,"variant":"` + name[65:] + `","circuit_hash":"` + name[:64] + `","compile_ms":12.5}`
+		if err := os.WriteFile(meta, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		metas[meta] = body
 	}
 
-	// Restart: the artifact fast path must warm the cache without
-	// recompiling.
 	f2, err := Open(durableCfg(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := f2.RecoveryStats()
-	if rec == nil || rec.ArtifactsWarmedFromDisk != 1 || rec.CacheEntriesWarmed != 1 {
-		t.Fatalf("recovery = %+v, want 1 cache entry warmed from 1 disk artifact", rec)
+	defer f2.Close()
+	if rec := f2.RecoveryStats(); rec == nil || rec.WarmEntries != 2 {
+		t.Fatalf("recovery = %+v, want 2 cache entries warmed", rec)
 	}
-	j2, err := f2.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := waitDone(t, f2, j2.ID)
-	if v2.Status != StatusDone || !v2.CacheHit {
-		t.Fatalf("post-restart job: %+v, want a done cache hit", v2)
+	for _, spec := range specs {
+		j, err := f2.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := waitDone(t, f2, j.ID); v.Status != StatusDone || !v.CacheHit {
+			t.Fatalf("%s after restart: %+v, want a done cache hit", spec.Variant, v)
+		}
 	}
 	if st := f2.Stats(); st.Cache.Misses != 0 {
-		t.Errorf("post-restart misses = %d, want 0 (warmed from artifact)", st.Cache.Misses)
+		t.Errorf("cache misses = %d, want 0", st.Cache.Misses)
 	}
-	f2.Close()
-
-	// Corrupt the artifact bytes: the next restart must fall back to the
-	// hash-verified recompile and still come up warm.
-	if err := os.WriteFile(arts[0], []byte("scribbled over"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f3, err := Open(durableCfg(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f3.Close()
-	rec = f3.RecoveryStats()
-	if rec == nil || rec.ArtifactsWarmedFromDisk != 0 {
-		t.Fatalf("recovery after corruption = %+v, want 0 artifact-path warms", rec)
-	}
-	if rec.CacheEntriesWarmed != 1 {
-		t.Fatalf("recovery after corruption warmed %d entries, want 1 via recompile fallback", rec.CacheEntriesWarmed)
-	}
-	j3, err := f3.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v3 := waitDone(t, f3, j3.ID); v3.Status != StatusDone || !v3.CacheHit {
-		t.Fatalf("post-corruption job: %+v, want a done cache hit", v3)
+	for meta, body := range metas {
+		if got, err := os.ReadFile(meta); err != nil || string(got) != body {
+			t.Errorf("%s changed by recovery: %q (err %v)", meta, got, err)
+		}
 	}
 }
 
@@ -257,4 +328,79 @@ func TestArtifactKeySplit(t *testing.T) {
 	if got := key[65:]; got != "Verilator-NoDedup" {
 		t.Errorf("variant part %q (dashed variants must survive)", got)
 	}
+	if h, v, ok := splitArtifactKey(key); !ok || h != hash || v != "Verilator-NoDedup" {
+		t.Errorf("splitArtifactKey(%q) = %q, %q, %v", key, h, v, ok)
+	}
+	for _, bad := range []string{"", hash, hash + "-", hash + "_Dedup"} {
+		if _, _, ok := splitArtifactKey(bad); ok {
+			t.Errorf("splitArtifactKey(%q) accepted a malformed key", bad)
+		}
+	}
+}
+
+// smallBoomCompiled compiles SmallBoom-2C at scale 0.1 under Dedup: a
+// real Program with shared classes, fused kernels and class runs.
+func smallBoomCompiled(tb testing.TB) *harness.Compiled {
+	tb.Helper()
+	c, err := DesignSpec{Design: "SmallBoom-2C", Scale: 0.1}.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cv, err := harness.CompileVariant(c, harness.Dedup, partition.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cv
+}
+
+// TestArtifactBytesStable: encoding one Program again gives the same
+// bytes, so an artifact's bytes are a function of the compile alone.
+// Gob writes maps in iteration order, so any map in the payload would
+// make re-encodes differ.
+func TestArtifactBytesStable(t *testing.T) {
+	cv := smallBoomCompiled(t)
+	first, err := EncodeArtifact(cv, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		again, err := EncodeArtifact(cv, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("encode %d differs from the first (%d vs %d bytes)", i, len(again), len(first))
+		}
+	}
+}
+
+// FuzzDecodeArtifact feeds raw bytes to DecodeArtifact. It must never
+// panic, and an input it accepts must re-encode to identical bytes. The
+// frame checksum is the guard against damage (gob itself is not
+// hardened against adversarial input), so the fuzzer does not re-seal
+// it: mutations exercise the frame checks, the seeds the full decode.
+func FuzzDecodeArtifact(f *testing.F) {
+	data, err := EncodeArtifact(smallBoomCompiled(f), 42*time.Millisecond)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cv, compileTime, err := DecodeArtifact(data)
+		if err != nil {
+			return
+		}
+		again, err := EncodeArtifact(cv, compileTime)
+		if err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(again))
+		}
+	})
 }

@@ -88,8 +88,9 @@ type cacheEntry struct {
 
 	compileTime time.Duration
 	hits        int64 // guarded by the cache mutex
-	// warm marks entries installed from the persistent tier at startup
-	// (recompiled before any job asked); hits on them count as warm hits.
+	// warm marks entries installed from a compile artifact (the
+	// persistent tier at startup, or a peer) before any job compiled
+	// them; hits on them count as warm hits.
 	warm bool
 }
 
@@ -204,8 +205,8 @@ type CacheStats struct {
 	// that coalesced onto an in-flight compile).
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// WarmHits counts hits served by entries the persistent tier
-	// recompiled at startup — compiles a cold restart would have paid
+	// WarmHits counts hits served by entries installed from a compile
+	// artifact — compiles a cold restart or a cold node would have paid
 	// on the job path.
 	WarmHits int64 `json:"warm_hits"`
 	// CompileMsSaved sums the compile time hits avoided.

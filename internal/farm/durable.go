@@ -12,20 +12,21 @@ import (
 	"dedupsim/internal/durable"
 	"dedupsim/internal/harness"
 	"dedupsim/internal/obs"
-	"dedupsim/internal/partition"
 	"dedupsim/internal/sim"
 )
 
 // Durability. With Config.DataDir set, the farm journals every job's
 // admission and terminal state (admit, finish, cancel) to a write-ahead
-// log, writes periodic checkpoints and compile-cache metadata to disk,
-// and on the next Open replays all of it: unfinished jobs are
+// log, writes periodic checkpoints and one compile artifact per compile
+// to disk, and on the next Open replays all of it: unfinished jobs are
 // re-admitted (resuming from their newest valid checkpoint), orphaned
-// files are garbage collected, and known designs are recompiled warm
-// before the first job arrives. A SIGKILL at any point loses at most the records the fsync
-// policy allows (see durable.FsyncPolicy); it never corrupts recovery —
-// torn journal tails and damaged checkpoints are detected by checksum
-// and dropped, degrading to an older checkpoint or cycle 0.
+// checkpoints are garbage collected, and every persisted artifact is
+// decoded into a warm cache entry before the first job arrives. A
+// SIGKILL at any point loses at most the records the fsync policy
+// allows (see durable.FsyncPolicy); it never corrupts recovery — torn
+// journal tails, damaged checkpoints and damaged artifacts are detected
+// by checksum and dropped, degrading to an older checkpoint or cycle 0,
+// or to a compile on the design's first job.
 //
 // Without DataDir every hook below is a nil-pointer test and the farm
 // behaves exactly as before: in-memory only.
@@ -45,15 +46,11 @@ type RecoveryStats struct {
 	// checkpoint or cycle 0).
 	CheckpointsLoaded         int64 `json:"checkpoints_loaded"`
 	CheckpointsCorruptDropped int64 `json:"checkpoints_corrupt_dropped"`
-	// CacheEntriesWarmed counts designs recompiled from persisted cache
-	// metadata before the farm started taking jobs.
-	CacheEntriesWarmed int64 `json:"cache_entries_warmed"`
-	// ArtifactsWarmedFromDisk counts warm entries restored by decoding a
-	// persisted compile artifact instead of recompiling — a subset of
-	// CacheEntriesWarmed that skipped the recompile entirely.
-	ArtifactsWarmedFromDisk int64 `json:"artifacts_warmed_from_disk,omitempty"`
+	// WarmEntries counts compile-cache entries installed by decoding a
+	// persisted artifact before the farm started taking jobs.
+	WarmEntries int64 `json:"cache_entries_warmed"`
 	// RecoveryMillis is the wall time from opening the store to workers
-	// starting (replay + re-admit + GC + warm compiles + compaction).
+	// starting (replay + re-admit + GC + artifact decode + compaction).
 	RecoveryMillis float64 `json:"recovery_millis"`
 }
 
@@ -109,9 +106,9 @@ type replayedJob struct {
 
 // recoverFromStore replays the journal and rebuilds farm state before
 // any worker runs: unfinished jobs re-enter the queue (newest valid
-// checkpoint attached), orphaned checkpoint and cache files are removed,
-// persisted designs are recompiled warm, and the journal is compacted
-// down to the live jobs.
+// checkpoint attached), orphaned checkpoints are removed, persisted
+// artifacts warm the compile cache, and the journal is compacted down
+// to the live jobs.
 func (f *Farm) recoverFromStore() error {
 	start := time.Now()
 	rec := &RecoveryStats{}
@@ -226,21 +223,7 @@ func (f *Farm) recoverFromStore() error {
 		}
 	}
 
-	rec.CacheEntriesWarmed, rec.ArtifactsWarmedFromDisk = f.warmCompileCache()
-
-	// GC artifacts whose cache metadata is gone (the metadata is the
-	// source of truth; an orphaned artifact would never be warmed).
-	if names := f.store.Artifacts(); len(names) > 0 {
-		live := map[string]struct{}{}
-		for name := range f.store.CacheEntries() {
-			live[name] = struct{}{}
-		}
-		for _, name := range names {
-			if _, ok := live[name]; !ok {
-				f.store.RemoveArtifact(name)
-			}
-		}
-	}
+	rec.WarmEntries = f.warmCompileCache()
 
 	// Compact the journal to exactly the live jobs' admits so it doesn't
 	// grow with the full history of every job that ever ran.
@@ -261,117 +244,47 @@ func (f *Farm) recoverFromStore() error {
 	return nil
 }
 
-// persistedCompile is the on-disk compile-cache metadata: enough to
-// rebuild the circuit (the design spec carries inline FIRRTL verbatim or
-// the generator name + scale) plus the expected structural hash, which
-// the warm load verifies so a drifted generator can never install a
-// Program under a stale key.
-type persistedCompile struct {
-	DesignSpec
-	Variant   string  `json:"variant"`
-	Hash      string  `json:"circuit_hash"`
-	CompileMs float64 `json:"compile_ms"`
-}
-
-// warmCompileCache restores every persisted cache entry before the farm
-// takes jobs, so a restarted farm serves its design zoo from cache
-// immediately. Each entry first tries the fast path — decode the
-// persisted compile artifact, skipping the recompile — then falls back
-// to recompiling from the design metadata with the structural hash
-// verified, so a drifted generator or a corrupt artifact can never
-// install a Program under a stale key. Entries that survive neither
-// path are removed — the persisted tier self-heals instead of failing
-// recovery.
-func (f *Farm) warmCompileCache() (warmed, fromArtifact int64) {
-	for name, data := range f.store.CacheEntries() {
-		var p persistedCompile
-		if json.Unmarshal(data, &p) != nil {
-			f.store.RemoveCacheEntry(name)
+// warmCompileCache installs every persisted artifact as a warm cache
+// entry before the farm takes jobs, so a restarted farm serves its
+// design zoo without recompiling. The name carries the key
+// (ArtifactKey: a fixed-width hash, then the variant); the frame
+// checksum covers the Program bytes, and the payload's variant must
+// match the name's. An artifact that fails any check is removed and its
+// design compiles on its first job, as on a cold farm.
+func (f *Farm) warmCompileCache() (warmed int64) {
+	for _, name := range f.store.Artifacts() {
+		hash, variant, ok := splitArtifactKey(name)
+		h, herr := circuit.ParseHash(hash)
+		if !ok || herr != nil {
 			f.store.RemoveArtifact(name)
 			continue
 		}
-		variant := harness.Variant(p.Variant)
-		compileTime := time.Duration(p.CompileMs * float64(time.Millisecond))
-
-		// Fast path: decode the artifact. Trustworthy without re-hashing
-		// the circuit — the frame checksum covers the Program bytes and the
-		// entry name pins the hash it was compiled under.
-		if adata, ok := f.store.LoadArtifact(name); ok {
-			if cv, at, derr := DecodeArtifact(adata); derr == nil && cv.Variant == variant {
-				if h, herr := circuit.ParseHash(p.Hash); herr == nil {
-					if f.cache.InstallWarm(CacheKey{Hash: h, Variant: variant}, cv, at) {
-						warmed++
-						fromArtifact++
-					}
-					continue
-				}
-			}
-			// Undecodable or mismatched artifact: drop it and recompile.
-			f.store.RemoveArtifact(name)
+		key := CacheKey{Hash: h, Variant: harness.Variant(variant)}
+		data, ok := f.store.LoadArtifact(name)
+		if !ok {
+			continue
 		}
-
-		// Through the design store: the variants of one design elaborate
-		// once here, and the recovered jobs about to run find it resident.
-		d, _, err := f.design(f.ctx, p.DesignSpec.Key(), p.DesignSpec)
-		if err != nil || d.hash.String() != p.Hash {
-			f.store.RemoveCacheEntry(name)
+		cv, compileTime, err := DecodeArtifact(data)
+		if err != nil || cv.Variant != key.Variant {
 			f.store.RemoveArtifact(name)
 			continue
 		}
-		cv, err := harness.CompileVariant(d.c, variant, partition.Options{})
-		if err != nil {
-			f.store.RemoveCacheEntry(name)
-			f.store.RemoveArtifact(name)
-			continue
-		}
-		key := CacheKey{Hash: d.hash, Variant: variant}
 		if f.cache.InstallWarm(key, cv, compileTime) {
 			warmed++
-			// Re-persist the artifact so the next restart takes the fast
-			// path.
-			if adata, aerr := EncodeArtifact(cv, compileTime); aerr == nil {
-				f.persistArtifact(key, adata)
-			}
 		}
 	}
-	return warmed, fromArtifact
-}
-
-// cacheEntryName keys a persisted cache file: structural hash x variant,
-// mirroring CacheKey.
-func cacheEntryName(key CacheKey) string {
-	return key.Hash.String() + "-" + string(key.Variant)
-}
-
-// persistCompile writes one freshly compiled design's metadata to the
-// disk tier (no-op without a store). Best-effort: a write failure is
-// counted but never fails the job that triggered the compile.
-func (f *Farm) persistCompile(spec JobSpec, key CacheKey, compileTime time.Duration) {
-	if f.store == nil {
-		return
-	}
-	data, err := json.Marshal(persistedCompile{
-		DesignSpec: spec.DesignSpec,
-		Variant:    string(key.Variant),
-		Hash:       key.Hash.String(),
-		CompileMs:  float64(compileTime) / float64(time.Millisecond),
-	})
-	if err != nil {
-		return
-	}
-	if err := f.store.SaveCacheEntry(cacheEntryName(key), data); err != nil {
-		f.durableErrs.Add(1)
-	}
+	return warmed
 }
 
 // persistArtifact writes one encoded compile artifact to the disk tier
-// (no-op without a store). Best-effort like persistCompile: losing the
-// artifact only costs a recompile on the next restart.
+// (no-op without a store). Best-effort: a write failure is counted but
+// never fails the job, and losing the artifact only costs a compile on
+// the design's first job after a restart.
 func (f *Farm) persistArtifact(key CacheKey, data []byte) {
 	if f.store == nil {
 		return
 	}
-	if err := f.store.SaveArtifact(cacheEntryName(key), data); err != nil {
+	if err := f.store.SaveArtifact(ArtifactKey(key.Hash.String(), string(key.Variant)), data); err != nil {
 		f.durableErrs.Add(1)
 	}
 }

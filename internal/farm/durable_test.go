@@ -229,10 +229,10 @@ func TestFarmKillRestartChaos(t *testing.T) {
 		// so each crash has recoverable progress to lose or resume, and
 		// once a compile reached the warm tier. A job sharing an
 		// in-flight compile can checkpoint before the compiling job
-		// persists the cache entry; a kill in that window loses the
-		// entry, and a restart has nothing to warm from.
+		// persists its artifact; a kill in that window loses the
+		// artifact, and a restart has nothing to warm from.
 		killable := func() bool {
-			if ents, _ := filepath.Glob(filepath.Join(dir, "cache", "*.json")); len(ents) == 0 {
+			if ents, _ := filepath.Glob(filepath.Join(dir, "artifacts", "*.bin")); len(ents) == 0 {
 				return false
 			}
 			for _, j := range f.Jobs() {
@@ -507,7 +507,7 @@ func TestFarmRecoveryCorruptCheckpoint(t *testing.T) {
 }
 
 // TestFarmWarmRestartCache: compiles persist across a graceful restart —
-// the reopened farm recompiles the design before taking jobs, and the
+// the reopened farm decodes the persisted artifact before taking jobs, and the
 // first submission hits the warm entry instead of compiling inline.
 func TestFarmWarmRestartCache(t *testing.T) {
 	dir := t.TempDir()
@@ -530,8 +530,8 @@ func TestFarmWarmRestartCache(t *testing.T) {
 	}
 	defer f2.Close()
 	rec := f2.RecoveryStats()
-	if rec.CacheEntriesWarmed != 1 {
-		t.Fatalf("CacheEntriesWarmed = %d, want 1", rec.CacheEntriesWarmed)
+	if rec.WarmEntries != 1 {
+		t.Fatalf("WarmEntries = %d, want 1", rec.WarmEntries)
 	}
 	if rec.JobsRecovered != 0 {
 		t.Errorf("JobsRecovered = %d, want 0 after a graceful shutdown", rec.JobsRecovered)

@@ -104,7 +104,7 @@ type Config struct {
 	FetchArtifact func(ctx context.Context, hash, variant string) ([]byte, error)
 
 	// DataDir, when set, makes the farm durable: job lifecycle is
-	// journaled, checkpoints and compile-cache metadata persist under
+	// journaled, checkpoints and compile artifacts persist under
 	// this directory, and Open recovers all of it after a crash (see
 	// durable.go). Empty keeps the farm purely in-memory.
 	DataDir string
@@ -1014,7 +1014,7 @@ func (f *Farm) compileSpec(ctx context.Context, j *Job) (out compiled, err error
 	key := CacheKey{Hash: out.hash, Variant: variant}
 	// Before paying a compile, ask the fleet: a peer (or the router's
 	// replicated artifact cache) may already hold this Program.
-	f.fetchArtifactWarm(ctx, spec, key)
+	f.fetchArtifactWarm(ctx, key)
 	faults := f.cfg.Faults
 	compileStart := time.Now()
 	out.cv, out.hit, err = f.cache.Get(ctx, key, func() (*harness.Compiled, error) {
@@ -1042,10 +1042,8 @@ func (f *Farm) compileSpec(ctx context.Context, j *Job) (out compiled, err error
 		f.mu.Unlock()
 		f.cfg.Tenants.NoteCompile(spec.Tenant)
 		f.obs.compile.Observe(out.compileTime)
-		// Persist the design metadata (warm-recompile fallback) and the
-		// compiled artifact bytes (fast path: decode instead of recompile)
-		// so a restarted farm warms before taking jobs.
-		f.persistCompile(spec, key, out.compileTime)
+		// Persist the compiled artifact so a restarted farm decodes it
+		// instead of recompiling.
 		if data, aerr := EncodeArtifact(out.cv, out.compileTime); aerr == nil {
 			f.persistArtifact(key, data)
 		}

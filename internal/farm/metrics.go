@@ -169,9 +169,9 @@ func (f *Farm) WriteStats(w io.Writer) {
 		fmt.Fprintln(w, "DRAINING: admission closed, letting in-flight jobs finish")
 	}
 	if r := st.Recovery; r != nil {
-		fmt.Fprintf(w, "recovery: %d journal records replayed, %d jobs recovered, %d checkpoints loaded, %d corrupt checkpoints dropped, %d cache entries warmed, %.0f ms\n",
+		fmt.Fprintf(w, "recovery: %d journal records replayed, %d jobs recovered, %d checkpoints loaded, %d corrupt checkpoints dropped, %d cache entries warmed from artifacts, %.0f ms\n",
 			r.JournalRecordsReplayed, r.JobsRecovered, r.CheckpointsLoaded,
-			r.CheckpointsCorruptDropped, r.CacheEntriesWarmed, r.RecoveryMillis)
+			r.CheckpointsCorruptDropped, r.WarmEntries, r.RecoveryMillis)
 		if r.JournalBytesDropped > 0 {
 			fmt.Fprintf(w, "  journal: %d torn/corrupt tail bytes truncated\n", r.JournalBytesDropped)
 		}

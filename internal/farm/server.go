@@ -174,17 +174,15 @@ func Handler(f *Farm) http.Handler {
 	})
 
 	// Fetch-by-hash: a peer (or the router) asks for a compiled Program
-	// by its fleet-wide name, {structural-hash}-{variant}. The hash is
-	// exactly 64 hex chars; variants may themselves contain '-'
-	// ("Verilator-NoDedup"), so the split is positional, not on the first
-	// dash.
+	// by its fleet-wide name, {structural-hash}-{variant} (ArtifactKey).
 	mux.HandleFunc("GET /artifacts/{key}", func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("key")
-		if len(key) < 66 || key[64] != '-' {
+		hash, variant, ok := splitArtifactKey(key)
+		if !ok {
 			httpError(w, http.StatusBadRequest, errors.New("artifact key must be {64-hex-hash}-{variant}"))
 			return
 		}
-		data, ok := f.ExportArtifact(key[:64], key[65:])
+		data, ok := f.ExportArtifact(hash, variant)
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no compiled artifact %q", key))
 			return

@@ -20,12 +20,13 @@ import (
 //	u32 len(Dirty); len(Dirty) x u8 (0/1; length 0 = no Dirty recorded)
 //	u32 CRC32C of everything above
 //
-// All integers little-endian. Decode validates magic, version, every
-// length against the remaining input (a flipped length bit cannot force
-// a huge allocation), and finally the checksum. Structural compatibility
-// with a Program (state-word count, memory depths) is checked by
-// RestoreLane, not here: the same bytes may be restored into any lane of
-// any engine running that Program.
+// All integers little-endian. Decode validates magic, version, the
+// checksum, every length against the remaining input (a flipped length
+// bit cannot force a huge allocation) and every Dirty byte, so the
+// bytes it accepts are exactly the bytes Encode writes. Structural
+// compatibility with a Program (state-word count, memory depths) is
+// checked by RestoreLane, not here: the same bytes may be restored into
+// any lane of any engine running that Program.
 //
 // Version history: v1 wrote one word per logical slot; v2 writes the
 // program's state WORDS, which differ from slots when 1-bit packing is
@@ -169,7 +170,13 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if nDirty > 0 {
 		s.Dirty = make([]bool, nDirty)
 		for i := range s.Dirty {
-			s.Dirty[i] = body[r.off+i] != 0
+			switch b := body[r.off+i]; b {
+			case 0:
+			case 1:
+				s.Dirty[i] = true
+			default:
+				return nil, fmt.Errorf("%w: dirty flag %d is not 0 or 1", ErrSnapshotCorrupt, b)
+			}
 		}
 		r.off += int(nDirty)
 	}

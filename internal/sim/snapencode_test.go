@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -130,15 +131,92 @@ func TestSnapshotDecodeVersionMismatch(t *testing.T) {
 	}
 }
 
+// reseal returns a copy of data (at least 4 bytes) with its trailing
+// CRC32C recomputed over everything before it, so a mutated body reaches
+// the structural checks behind the checksum.
+func reseal(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return out
+}
+
 // asV1 rewrites an encoded snapshot's version field to 1 and re-seals the
 // checksum — byte-for-byte what a pre-packing build would have written,
 // since v1 and v2 share the layout.
 func asV1(data []byte) []byte {
 	v1 := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint32(v1[4:8], 1)
-	body := v1[:len(v1)-4]
-	binary.LittleEndian.PutUint32(v1[len(v1)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	return v1
+	return reseal(v1)
+}
+
+// TestSnapshotDecodeRejectsResealed: a body that is malformed behind a
+// valid checksum is rejected as corrupt, so DecodeSnapshot accepts only
+// what Encode writes.
+func TestSnapshotDecodeRejectsResealed(t *testing.T) {
+	_, snap := encodeTestSnapshot(t)
+	data := snap.Encode()
+	if len(snap.Dirty) == 0 {
+		t.Fatal("test snapshot has no Dirty flags")
+	}
+	lastDirty := len(data) - 5
+	for _, tc := range []struct {
+		name string
+		mut  func([]byte) []byte
+	}{
+		{"dirty flag 2", func(b []byte) []byte { b[lastDirty] = 2; return b }},
+		{"dirty flag 0xff", func(b []byte) []byte { b[lastDirty] = 0xff; return b }},
+		{"trailing byte", func(b []byte) []byte { return append(b[:len(b)-4:len(b)-4], 0, 0, 0, 0, 0) }},
+		{"state length overrun", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[40:44], 1<<30); return b }},
+	} {
+		mut := reseal(tc.mut(append([]byte(nil), data...)))
+		if _, err := sim.DecodeSnapshot(mut); !errors.Is(err, sim.ErrSnapshotCorrupt) {
+			t.Errorf("%s: decode returned %v, want ErrSnapshotCorrupt", tc.name, err)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot feeds DecodeSnapshot arbitrary bodies behind a
+// re-sealed checksum. It must never panic, and a snapshot it accepts
+// must re-encode to exactly the input bytes.
+func FuzzDecodeSnapshot(f *testing.F) {
+	c := gen.MustBuild(gen.Config(gen.Rocket, 2, 0.1))
+	cv, err := harness.CompileVariant(c, harness.Dedup, partition.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	be, err := sim.NewBatch(cv.Program, true, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	drive := stimulus.VVAddA().Lane(1).NewLaneDrive(be, 1)
+	for cyc := 0; cyc < 61; cyc++ {
+		drive(cyc)
+		be.Step()
+	}
+	snap, err := be.SaveLane(1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data := snap.Encode()
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			data = reseal(data)
+		}
+		snap, err := sim.DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		if again := snap.Encode(); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(again))
+		}
+	})
 }
 
 // TestSnapshotV1Rejected: a version-1 checkpoint (written before 1-bit

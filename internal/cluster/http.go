@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"dedupsim/internal/farm"
@@ -194,7 +193,7 @@ func (r *Router) WriteStatus(w io.Writer) {
 		st.Compiles, st.WarmHits, st.ArtifactsFetched, st.CyclesSavedByResume)
 	if len(st.Tenants) > 0 {
 		fmt.Fprintln(w, "tenants (fleet-wide):")
-		for _, name := range sortedTenantNames(st.Tenants) {
+		for _, name := range farm.SortedKeys(st.Tenants) {
 			v := st.Tenants[name]
 			fmt.Fprintf(w, "  %-16s w=%d prio=%d submitted=%d shed=%d queued=%d running=%d done=%d parked=%d cycles=%d\n",
 				name, v.Weight, v.Priority, v.Submitted, v.Shed,
@@ -259,24 +258,24 @@ func Handler(r *Router) http.Handler {
 	mux.HandleFunc("POST /nodes/register", func(w http.ResponseWriter, req *http.Request) {
 		var reg registration
 		if code, err := farm.DecodeBody(w, req, &reg); err != nil {
-			httpError(w, code, fmt.Errorf("bad registration: %w", err))
+			farm.HTTPError(w, code, fmt.Errorf("bad registration: %w", err))
 			return
 		}
 		if err := r.Register(reg.ID, reg.Addr); err != nil {
-			httpError(w, http.StatusConflict, err)
+			farm.HTTPError(w, http.StatusConflict, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "registered", "id": reg.ID})
+		farm.WriteJSON(w, http.StatusOK, map[string]string{"status": "registered", "id": reg.ID})
 	})
 
 	mux.HandleFunc("GET /nodes", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Nodes())
+		farm.WriteJSON(w, http.StatusOK, r.Nodes())
 	})
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, req *http.Request) {
 		var spec farm.JobSpec
 		if code, err := farm.DecodeBody(w, req, &spec); err != nil {
-			httpError(w, code, fmt.Errorf("bad job spec: %w", err))
+			farm.HTTPError(w, code, fmt.Errorf("bad job spec: %w", err))
 			return
 		}
 		if spec.TraceID == "" {
@@ -303,31 +302,31 @@ func Handler(r *Router) http.Handler {
 				w.Write(se.body)
 			case errors.Is(err, ErrFleetBusy):
 				w.Header().Set("Retry-After", "1")
-				httpError(w, http.StatusTooManyRequests, err)
+				farm.HTTPError(w, http.StatusTooManyRequests, err)
 			case errors.Is(err, ErrNoNodes):
-				httpError(w, http.StatusServiceUnavailable, err)
+				farm.HTTPError(w, http.StatusServiceUnavailable, err)
 			default:
-				httpError(w, http.StatusBadGateway, err)
+				farm.HTTPError(w, http.StatusBadGateway, err)
 			}
 			return
 		}
 		w.Header().Set("X-Trace-Id", view.Spec.TraceID)
-		writeJSON(w, http.StatusAccepted, view)
+		farm.WriteJSON(w, http.StatusAccepted, view)
 	})
 
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Jobs())
+		farm.WriteJSON(w, http.StatusOK, r.Jobs())
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, req *http.Request) {
 		wait, err := farm.ParseWait(req)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			farm.HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		v, ok := r.Job(req.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no fleet job %q", req.PathValue("id")))
+			farm.HTTPError(w, http.StatusNotFound, fmt.Errorf("no fleet job %q", req.PathValue("id")))
 			return
 		}
 		if wait > 0 {
@@ -335,7 +334,7 @@ func Handler(r *Router) http.Handler {
 			v, _ = r.WaitDone(ctx, v.ID)
 			cancel()
 		}
-		writeJSON(w, http.StatusOK, v)
+		farm.WriteJSON(w, http.StatusOK, v)
 	})
 
 	mux.HandleFunc("GET /jobs/{id}/vcd", func(w http.ResponseWriter, req *http.Request) {
@@ -349,12 +348,12 @@ func Handler(r *Router) http.Handler {
 		}
 		r.mu.Unlock()
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no fleet job %q", req.PathValue("id")))
+			farm.HTTPError(w, http.StatusNotFound, fmt.Errorf("no fleet job %q", req.PathValue("id")))
 			return
 		}
 		data := r.httpGet(req.Context(), addr+"/jobs/"+remoteID+"/vcd")
 		if data == nil {
-			httpError(w, http.StatusNotFound, errors.New("no waveform available (job captured no VCD or owner unreachable)"))
+			farm.HTTPError(w, http.StatusNotFound, errors.New("no waveform available (job captured no VCD or owner unreachable)"))
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -382,13 +381,13 @@ func Handler(r *Router) http.Handler {
 		}
 		r.mu.Unlock()
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no fleet job %q", req.PathValue("id")))
+			farm.HTTPError(w, http.StatusNotFound, fmt.Errorf("no fleet job %q", req.PathValue("id")))
 			return
 		}
 		routerView := tr.View()
 		routerView.Name = "router/" + routerView.Name
 		if req.URL.Query().Get("format") == "events" {
-			writeJSON(w, http.StatusOK, routerView)
+			farm.WriteJSON(w, http.StatusOK, routerView)
 			return
 		}
 		views := []obs.TraceView{routerView}
@@ -429,7 +428,7 @@ func Handler(r *Router) http.Handler {
 	mux.HandleFunc("GET /artifacts/{key}", func(w http.ResponseWriter, req *http.Request) {
 		data, ok := r.Artifact(req.PathValue("key"))
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no replicated artifact %q", req.PathValue("key")))
+			farm.HTTPError(w, http.StatusNotFound, fmt.Errorf("no replicated artifact %q", req.PathValue("key")))
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -441,16 +440,16 @@ func Handler(r *Router) http.Handler {
 		if s := req.URL.Query().Get("after"); s != "" {
 			n, err := strconv.ParseInt(s, 10, 64)
 			if err != nil || n < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad after cursor %q", s))
+				farm.HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad after cursor %q", s))
 				return
 			}
 			after = n
 		}
-		writeJSON(w, http.StatusOK, r.PlacementDelta(after))
+		farm.WriteJSON(w, http.StatusOK, r.PlacementDelta(after))
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, r.Stats())
+		farm.WriteJSON(w, http.StatusOK, r.Stats())
 	})
 
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, req *http.Request) {
@@ -467,26 +466,4 @@ func Handler(r *Router) http.Handler {
 	mux.HandleFunc("GET /healthz", health)
 
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// sortedTenantNames returns a tenant view map's keys in stable order.
-func sortedTenantNames(m map[string]tenant.View) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"io"
 
+	"dedupsim/internal/farm"
 	"dedupsim/internal/obs"
 )
 
@@ -89,7 +90,7 @@ func (r *Router) WriteProm(w io.Writer) error {
 	// node-summed execution stats, one label per tenant, emitted
 	// per-metric so the exposition stays one HELP/TYPE block per name.
 	tenants := st.Tenants
-	tnames := sortedTenantNames(tenants)
+	tnames := farm.SortedKeys(tenants)
 	for _, n := range tnames {
 		p.Counter("dedupfleet_tenant_jobs_submitted_total", "Jobs accepted by the router per tenant.",
 			float64(tenants[n].Submitted), "tenant", n)

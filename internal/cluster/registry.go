@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"dedupsim/internal/farm"
@@ -131,7 +130,7 @@ func (m *member) placeable() bool { return m.state == NodeAlive && m.ready }
 // included — the fleet status page shows the whole history).
 func (g *Registry) Views() []NodeView {
 	views := make([]NodeView, 0, len(g.members))
-	for _, id := range sortedIDs(g.members) {
+	for _, id := range farm.SortedKeys(g.members) {
 		m := g.members[id]
 		views = append(views, NodeView{
 			ID: m.id, Addr: m.addr, State: m.state, Ready: m.ready,
@@ -140,13 +139,4 @@ func (g *Registry) Views() []NodeView {
 		})
 	}
 	return views
-}
-
-func sortedIDs(members map[string]*member) []string {
-	ids := make([]string, 0, len(members))
-	for id := range members {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -163,17 +163,7 @@ func (f *Farm) recoverFromStore() error {
 		if spec.TraceID == "" {
 			spec.TraceID = obs.NewTraceID()
 		}
-		now := time.Now()
-		j := &Job{
-			ID:         id,
-			Spec:       spec,
-			farm:       f,
-			batch:      jobBatchKey(spec),
-			status:     StatusQueued,
-			created:    now,
-			enqueuedAt: now,
-			done:       make(chan struct{}),
-		}
+		j := f.newJob(id, spec, jobBatchKey(spec))
 		// Re-admitted jobs rejoin their tenant's runnable set (normalize
 		// already defaulted pre-tenancy records to the default tenant, so
 		// replaying an old journal needs no format flag-day).
@@ -181,7 +171,6 @@ func (f *Farm) recoverFromStore() error {
 		// The pre-crash trace ring died with the process; the recovered
 		// trace keeps the job's fleet-wide ID and starts its story at the
 		// re-admission.
-		j.trace = obs.NewTrace(spec.TraceID, id)
 		j.trace.Instant("recovered")
 		if !spec.VCD {
 			for _, data := range f.store.LoadCheckpoint(id) {
@@ -206,11 +195,7 @@ func (f *Farm) recoverFromStore() error {
 		}
 		f.jobs[id] = j
 		f.order = append(f.order, id)
-		f.pending = append(f.pending, j)
-		select {
-		case f.wake <- struct{}{}:
-		default:
-		}
+		f.enqueueLocked(j)
 		rec.JobsRecovered++
 	}
 
@@ -291,8 +276,8 @@ func (f *Farm) persistArtifact(key CacheKey, data []byte) {
 
 // journal appends one record (no-op without a store). Disk errors are
 // counted, not acted on: a sick disk degrades durability, it does not
-// take down running simulations. The error is returned so the finish
-// path can tell a frozen store (durable.ErrFrozen) from a written record.
+// take down running simulations. The error is returned so end can tell
+// a frozen store (durable.ErrFrozen) from a written record.
 func (f *Farm) journal(r durable.Record) error {
 	if f.store == nil {
 		return nil
@@ -331,8 +316,8 @@ func (f *Farm) journalAdmitLocked(j *Job, spec json.RawMessage) {
 	f.journal(durable.Record{Type: durable.RecAdmit, Job: j.ID, Spec: spec})
 }
 
-// journalFinish journals a terminal transition, before it is published,
-// and deletes the job's persisted checkpoint. It reports false when the
+// journalFinish journals a terminal transition, step 2 of end, and
+// deletes the job's persisted checkpoint. It reports false when the
 // store is frozen: Close or Kill has begun, the record cannot be made
 // durable, and the job must re-admit on restart instead of finishing
 // (at-least-once semantics).

@@ -170,12 +170,6 @@ func (e *ThrottledError) Error() string {
 	return fmt.Sprintf("farm: tenant %q over admission rate (retry in %s)", e.Tenant, e.RetryAfter)
 }
 
-// errParked marks an attempt stopped by priority preemption: the job
-// was checkpointed and must be requeued, not finished. Non-transient on
-// purpose — it exits the retry loop immediately so the worker frees up
-// for the higher-priority job.
-var errParked = errors.New("parked for higher-priority work")
-
 // Job is one queued or running simulation. All mutable fields are behind
 // mu; external readers use View.
 type Job struct {
@@ -203,23 +197,21 @@ type Job struct {
 	checkpoint  *sim.Snapshot
 	resumedFrom int64 // cycles skipped by the latest attempt's resume
 
-	// attemptCancel cancels only the current attempt; the watchdog uses
-	// it to preempt a stuck attempt without killing the job. preempted
-	// distinguishes that preemption from a user cancel on the same
-	// context. progressAt/progressCycle are the watchdog's heartbeat,
-	// refreshed at every cycle-chunk boundary.
+	// attemptCancel cancels only the current attempt, and stop records
+	// what canceled it (stopAttempt). progressAt/progressCycle are the
+	// watchdog's heartbeat, refreshed at every cycle-chunk boundary.
 	attemptCancel context.CancelFunc
-	preempted     bool
+	stop          stopCause
 	progressAt    time.Time
 	progressCycle int64
 
-	// parked marks the current attempt as stopped by priority
-	// preemption: the attempt checkpoints at its next chunk boundary and
-	// the job goes back to the queue. lanes is the size of the group the
-	// current attempt runs in; only a group of one can be parked
-	// (stopping one lane would not free the worker until the group ends).
-	parked bool
-	lanes  int
+	// lanes is the size of the group the current attempt runs in; only a
+	// group of one can be parked (stopping one lane would not free the
+	// worker until the group ends).
+	lanes int
+
+	// ending is set when end claims the job; its status publishes last.
+	ending bool
 
 	created time.Time
 	// enqueuedAt is the last time the job entered the pending queue:
@@ -234,6 +226,9 @@ type Job struct {
 	// is visible, immutable after.
 	trace *obs.Trace
 
+	// ctx lives from admission to end; Cancel and Close cancel it and
+	// each run derives its timeout from it. Immutable, like cancel, done.
+	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
 }
@@ -310,6 +305,22 @@ func (j *Job) setCheckpoint(s *sim.Snapshot) {
 	j.mu.Lock()
 	j.checkpoint = s
 	j.mu.Unlock()
+}
+
+// waiting reports whether the job is queued for a worker: status queued
+// and not claimed by the terminal step. Caller holds j.mu.
+func (j *Job) waiting() bool { return j.status == StatusQueued && !j.ending }
+
+// stopAttempt stops the running attempt for cause and returns its cancel
+// func, for the caller to run outside j.mu. The first stop wins: an
+// attempt that something already stopped is left alone (nil), so every
+// attempt ends for exactly one cause. Caller holds j.mu.
+func (j *Job) stopAttempt(cause stopCause) context.CancelFunc {
+	if j.status != StatusRunning || j.attemptCancel == nil || j.stop != stopNone {
+		return nil
+	}
+	j.stop = cause
+	return j.attemptCancel
 }
 
 // transientError marks failures worth retrying (worker panics, injected
@@ -458,26 +469,21 @@ func (f *Farm) Close() {
 	if f.store != nil {
 		f.store.Freeze()
 	}
+	// Every job's context derives from the farm's; takeBatch hands out
+	// nothing once closed.
 	f.stop()
 	f.mu.Lock()
 	f.closed = true
-	for _, j := range f.jobs {
-		j.mu.Lock()
-		if j.cancel != nil {
-			j.cancel()
-		}
-		j.mu.Unlock()
-	}
-	// Detach the queue under f.mu: a worker mid-takeBatch has either
-	// already claimed (removed) its jobs or will find the queue empty.
+	f.mu.Unlock()
+	f.wg.Wait()
+	// Whatever never reached a worker, or went back to the queue as its
+	// worker stopped, is canceled (end skips jobs Cancel already ended).
+	f.mu.Lock()
 	pending := f.pending
 	f.pending = nil
 	f.mu.Unlock()
-	f.wg.Wait()
-	// Whatever never reached a worker is canceled (finish is a no-op for
-	// jobs Cancel already made terminal).
 	for _, j := range pending {
-		f.finish(j, StatusCanceled, errShutDown)
+		f.end(j, outcome{kind: outCanceled, err: errShutDown}, nil)
 	}
 	if f.store != nil {
 		f.store.Close()
@@ -603,19 +609,8 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("farm: %w (%d jobs)", ErrQueueFull, f.cfg.QueueDepth)
 	}
 	f.nextID++
-	now := time.Now()
-	j := &Job{
-		ID:         fmt.Sprintf("job-%d", f.nextID),
-		Spec:       spec,
-		farm:       f,
-		batch:      batch,
-		status:     StatusQueued,
-		created:    now,
-		enqueuedAt: now,
-		done:       make(chan struct{}),
-		checkpoint: ckpt,
-	}
-	j.trace = obs.NewTrace(spec.TraceID, j.ID)
+	j := f.newJob(fmt.Sprintf("job-%d", f.nextID), spec, batch)
+	j.checkpoint = ckpt
 	j.trace.Instant("submitted")
 	if ckpt != nil {
 		// A migrated-in job resumes mid-flight; the trace marks where its
@@ -624,7 +619,7 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 	}
 	f.jobs[j.ID] = j
 	f.order = append(f.order, j.ID)
-	f.pending = append(f.pending, j)
+	f.enqueueLocked(j)
 	// Appended under f.mu so admit records land in ID order; recovery
 	// re-admits in record order and preserves submission fairness.
 	f.journalAdmitLocked(j, admit)
@@ -632,16 +627,42 @@ func (f *Farm) Submit(spec JobSpec) (*Job, error) {
 	// earns no scheduling credit) and is accounted one accepted job.
 	f.cfg.Tenants.NoteSubmitted(spec.Tenant)
 	f.cfg.Tenants.Activate(spec.Tenant)
-	select {
-	case f.wake <- struct{}{}:
-	default:
-		// Channel full means at least QueueDepth tokens are outstanding —
-		// more than enough draining passes are already owed.
-	}
 	// With every worker busy, a job from a higher-priority tenant may
 	// park the lowest-priority running attempt to free a worker.
 	f.maybeParkLocked(spec.Tenant)
 	return j, nil
+}
+
+// newJob builds an admitted job, queued as of now, with its own context
+// under the farm's.
+func (f *Farm) newJob(id string, spec JobSpec, batch batchKey) *Job {
+	now := time.Now()
+	ctx, cancel := context.WithCancel(f.ctx)
+	return &Job{
+		ID:         id,
+		Spec:       spec,
+		farm:       f,
+		batch:      batch,
+		status:     StatusQueued,
+		created:    now,
+		enqueuedAt: now,
+		trace:      obs.NewTrace(spec.TraceID, id),
+		ctx:        ctx,
+		cancel:     cancel,
+		done:       make(chan struct{}),
+	}
+}
+
+// enqueueLocked appends j to the pending queue and posts a wake token. A
+// full wake channel means at least QueueDepth tokens are outstanding —
+// more than enough draining passes are already owed. Caller holds f.mu
+// (recovery, which runs before the workers start, needs no lock).
+func (f *Farm) enqueueLocked(j *Job) {
+	f.pending = append(f.pending, j)
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
 }
 
 // maybeParkLocked parks (checkpoints + requeues) the lowest-priority
@@ -662,7 +683,7 @@ func (f *Farm) maybeParkLocked(tenantName string) {
 	for _, j := range f.jobs {
 		j.mu.Lock()
 		running := j.status == StatusRunning && j.lanes == 1 && !j.Spec.VCD &&
-			j.attemptCancel != nil && !j.parked && !j.preempted
+			j.attemptCancel != nil && j.stop == stopNone
 		j.mu.Unlock()
 		if !running {
 			continue
@@ -679,26 +700,22 @@ func (f *Farm) maybeParkLocked(tenantName string) {
 		return
 	}
 	victim.mu.Lock()
-	var cancel context.CancelFunc
-	if victim.status == StatusRunning && victim.attemptCancel != nil && !victim.parked {
-		victim.parked = true
-		cancel = victim.attemptCancel
-	}
+	cancel := victim.stopAttempt(stopPark)
 	victim.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
 }
 
-// compactPendingLocked drops terminal (canceled-while-queued) entries
-// from the pending queue. Caller holds f.mu.
+// compactPendingLocked drops ended (canceled-while-queued) entries from
+// the pending queue. Caller holds f.mu.
 func (f *Farm) compactPendingLocked() {
 	keep := f.pending[:0]
 	for _, j := range f.pending {
 		j.mu.Lock()
-		terminal := j.status.Terminal()
+		waiting := j.waiting()
 		j.mu.Unlock()
-		if !terminal {
+		if waiting {
 			keep = append(keep, j)
 		}
 	}
@@ -738,24 +755,12 @@ func (f *Farm) Cancel(id string) error {
 	if !ok {
 		return fmt.Errorf("farm: no job %q", id)
 	}
-	j.mu.Lock()
-	switch {
-	case j.status.Terminal():
-		j.mu.Unlock()
-	case j.status == StatusQueued:
-		// Transition while still holding j.mu: a worker dequeuing this
-		// job concurrently must observe either Queued (and run it) or
-		// Canceled (and skip it) — never flip it to Canceled after the
-		// worker already moved it to Running.
-		f.finishLocked(j, StatusCanceled, errors.New("canceled while queued"))
-		j.mu.Unlock()
-		f.accountFinish(j)
-	default:
-		if j.cancel != nil {
-			j.cancel()
-		}
-		j.mu.Unlock()
-	}
+	// A running attempt stops at its next chunk boundary and ends
+	// canceled; a worker that starts the job after this derives its run
+	// from the canceled context and does the same. A job still queued
+	// ends here.
+	j.cancel()
+	f.end(j, outcome{kind: outCanceled, err: errors.New("canceled while queued")}, nil)
 	return nil
 }
 
@@ -817,10 +822,8 @@ func (f *Farm) preemptStuck() {
 	for _, j := range f.Jobs() {
 		j.mu.Lock()
 		var cancel context.CancelFunc
-		if j.status == StatusRunning && !j.preempted &&
-			j.attemptCancel != nil && j.progressAt.Before(cutoff) {
-			j.preempted = true
-			cancel = j.attemptCancel
+		if j.progressAt.Before(cutoff) {
+			cancel = j.stopAttempt(stopWatchdog)
 		}
 		j.mu.Unlock()
 		if cancel != nil {
@@ -875,6 +878,9 @@ func resumable(j *Job) bool {
 func (f *Farm) takeBatch() []*Job {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return nil
+	}
 	for {
 		// Drop canceled-while-queued entries first so they neither count
 		// as a tenant's queued work nor get picked below.
@@ -902,10 +908,10 @@ func (f *Farm) takeBatch() []*Job {
 				continue
 			}
 			j.mu.Lock()
-			queued := j.status == StatusQueued
+			waiting := j.waiting()
 			j.mu.Unlock()
-			if !queued {
-				continue // turned terminal since the compact: drop
+			if !waiting {
+				continue // ended since the compact: drop
 			}
 			claim := len(batch) == 0 ||
 				(f.cfg.MaxLanes > 1 && len(batch) < f.cfg.MaxLanes &&
@@ -944,10 +950,8 @@ func (f *Farm) jobTimeout(s JobSpec) time.Duration {
 }
 
 // recordRetry bumps the retry counters and marks the retry (with its
-// cause) in the job's trace. The by-cause map is bounded: causes come
-// from a small fixed vocabulary, but the label feeds /stats and
-// /metrics, so an unexpected new cause beyond maxRetryCauses lands in
-// "other" instead of growing the map without bound.
+// cause) in the job's trace; causes beyond maxRetryCauses count as
+// "other".
 func (f *Farm) recordRetry(j *Job, cause string) {
 	f.mu.Lock()
 	f.retries++
@@ -1051,22 +1055,14 @@ func (f *Farm) compileSpec(ctx context.Context, j *Job) (out compiled, err error
 	return out, nil
 }
 
-// requeueParked returns a parked job to the pending queue: status back
-// to Queued, checkpoint kept for the resume, enqueue clock reset. The
-// next dequeue of its tenant picks it up and the resume path counts the
-// cycles the park did not lose.
-func (f *Farm) requeueParked(j *Job) {
+// requeue returns a parked job to the pending queue: status back to
+// Queued, checkpoint kept for the resume, enqueue clock reset. The next
+// dequeue of its tenant picks it up and the resume path counts the
+// cycles the park did not lose. A Cancel from here on ends it in the
+// queue, or in its next run once a worker has it.
+func (f *Farm) requeue(j *Job) {
 	j.mu.Lock()
-	if j.status.Terminal() {
-		// A racing Cancel won; nothing to requeue.
-		j.mu.Unlock()
-		return
-	}
 	j.status = StatusQueued
-	j.parked = false
-	j.preempted = false
-	j.cancel = nil
-	j.attemptCancel = nil
 	j.enqueuedAt = time.Now()
 	ckptCycle := int64(0)
 	if j.checkpoint != nil {
@@ -1078,82 +1074,40 @@ func (f *Farm) requeueParked(j *Job) {
 	f.cfg.Tenants.Activate(j.Spec.Tenant)
 	f.mu.Lock()
 	f.parks++
-	f.pending = append(f.pending, j)
+	f.enqueueLocked(j)
 	f.mu.Unlock()
-	select {
-	case f.wake <- struct{}{}:
-	default:
-	}
-}
-
-// finishRun maps an attempt error to the job's terminal status.
-func (f *Farm) finishRun(j *Job, err error, timeout time.Duration) {
-	switch {
-	case err == nil:
-		f.finish(j, StatusDone, nil)
-	case errors.Is(err, context.Canceled):
-		f.finish(j, StatusCanceled, errors.New("canceled"))
-	case errors.Is(err, context.DeadlineExceeded):
-		f.finish(j, StatusFailed, fmt.Errorf("timeout after %s", timeout))
-	default:
-		f.finish(j, StatusFailed, err)
-	}
 }
 
 // errShutDown ends the jobs a shutdown stops before they finish.
 var errShutDown = errors.New("farm shut down")
 
-// finish moves a job to a terminal status exactly once.
-func (f *Farm) finish(j *Job, status Status, err error) {
+// end is the one terminal step; every way a job ends goes through it
+// (DESIGN.md, "observable terminal ⇒ journaled ⇒ counted and traced"). It
+// claims the job once — l is the attempt ending it; without one only a
+// queued job can end — then journals the finish outside j.mu, counts it
+// under f.mu (never taken while holding j.mu), records done and closes
+// the run span, and only then publishes the status and closes done. A
+// store frozen by Close or Kill refuses the record: the result is
+// discarded and the job ends canceled by the shutdown, unjournaled, so it
+// re-admits on restart.
+func (f *Farm) end(j *Job, out outcome, l *lane) {
 	j.mu.Lock()
-	ok := f.finishLocked(j, status, err)
+	if j.ending || (l == nil && !j.waiting()) {
+		j.mu.Unlock()
+		return
+	}
+	j.ending = true
 	j.mu.Unlock()
-	if ok {
-		f.accountFinish(j)
-	}
-}
 
-// finishLocked performs the terminal transition with j.mu held,
-// reporting whether this call was the one that made the job terminal.
-// The caller must follow up with accountFinish (outside j.mu) when it
-// returns true.
-//
-// The transition is journaled before it is published, so a status a
-// client can see is already on disk. Once Close or Kill has frozen the
-// store nothing more can be made durable: the job then ends canceled by
-// the shutdown, its result discarded and unjournaled, and it re-admits
-// on restart.
-func (f *Farm) finishLocked(j *Job, status Status, err error) bool {
-	if j.status.Terminal() {
-		return false
+	status, err := out.status(), out.err
+	kept := f.journalFinish(j.ID, status, err)
+	if !kept && status != StatusCanceled {
+		status, err = StatusCanceled, errShutDown
 	}
-	if !f.journalFinish(j.ID, status, err) {
-		if status != StatusCanceled {
-			status, err = StatusCanceled, errShutDown
-		}
-		j.stats, j.vcd = nil, nil
-	}
-	j.status = status
-	j.err = err
-	j.finished = time.Now()
-	// Terminal jobs are retained for the API; their checkpoint is not.
-	j.checkpoint = nil
-	j.attemptCancel = nil
-	j.trace.Instant("done", "status", string(status))
-	close(j.done)
-	return true
-}
 
-// accountFinish updates the farm counters for one terminal transition
-// and prunes the oldest-finished jobs beyond the retention cap so the
-// jobs map (and its stats/VCD buffers) can't grow without bound.
-func (f *Farm) accountFinish(j *Job) {
-	j.mu.Lock()
-	status := j.status
-	e2e := j.finished.Sub(j.created)
-	j.mu.Unlock()
+	finished := time.Now()
 	if status == StatusDone {
-		f.obs.e2e.Observe(e2e)
+		f.obs.e2e.Observe(finished.Sub(j.created))
 	}
 	f.mu.Lock()
 	switch status {
@@ -1164,6 +1118,8 @@ func (f *Farm) accountFinish(j *Job) {
 	case StatusCanceled:
 		f.canceled++
 	}
+	// Prune the oldest-finished jobs beyond the retention cap so the jobs
+	// map (and its stats/VCD buffers) can't grow without bound.
 	f.finished = append(f.finished, j.ID)
 	if f.cfg.RetainJobs >= 0 {
 		for len(f.finished) > f.cfg.RetainJobs {
@@ -1185,4 +1141,20 @@ func (f *Farm) accountFinish(j *Job) {
 	}
 	f.mu.Unlock()
 	f.cfg.Tenants.NoteFinished(j.Spec.Tenant, string(status))
+
+	j.trace.Instant("done", "status", string(status))
+	if l != nil {
+		f.endRun(l)
+	}
+
+	j.mu.Lock()
+	j.status, j.err, j.finished = status, err, finished
+	if !kept {
+		j.stats, j.vcd = nil, nil
+	}
+	// Terminal jobs are retained for the API; their checkpoint is not.
+	j.checkpoint = nil
+	j.mu.Unlock()
+	j.cancel() // releases the job's context
+	close(j.done)
 }

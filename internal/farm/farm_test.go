@@ -327,13 +327,9 @@ func TestFarmRetainJobs(t *testing.T) {
 		<-j.Done()
 		jobs = append(jobs, j)
 	}
-	// Pruning runs just after Done closes; poll briefly for it to settle.
-	deadline := time.Now().Add(10 * time.Second)
-	for len(f.Jobs()) > 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("retained %d jobs, want 2", len(f.Jobs()))
-		}
-		time.Sleep(time.Millisecond)
+	// Pruning is part of the terminal step, done before Done closes.
+	if n := len(f.Jobs()); n != 2 {
+		t.Fatalf("retained %d jobs, want 2", n)
 	}
 	if _, ok := f.Job(jobs[0].ID); ok {
 		t.Error("oldest finished job should have been pruned")

@@ -80,7 +80,6 @@ func (f *Farm) Stats() Stats {
 		UptimeSeconds:       time.Since(f.started).Seconds(),
 		Workers:             f.cfg.Workers,
 		JobsSubmitted:       f.nextID,
-		JobsQueued:          queuedLocked(f.pending),
 		JobsRunning:         f.running,
 		JobsCompleted:       f.completed,
 		JobsFailed:          f.failed,
@@ -103,19 +102,20 @@ func (f *Farm) Stats() Stats {
 			st.RetriesByCause[k] = v
 		}
 	}
-	// Per-tenant queued/running are derived gauges: one scan of the jobs
-	// table at snapshot time instead of incremental counters threaded
-	// through every lifecycle transition.
+	// Queued and running, farm-wide and per tenant, are derived gauges:
+	// one scan of the jobs table at snapshot time instead of incremental
+	// counters threaded through every lifecycle transition.
 	queuedBy := map[string]int{}
 	runningBy := map[string]int{}
 	for _, j := range f.jobs {
 		j.mu.Lock()
-		s := j.status
+		waiting, running := j.waiting(), j.status == StatusRunning
 		j.mu.Unlock()
-		switch s {
-		case StatusQueued:
+		switch {
+		case waiting:
 			queuedBy[j.Spec.Tenant]++
-		case StatusRunning:
+			st.JobsQueued++
+		case running:
 			runningBy[j.Spec.Tenant]++
 		}
 	}
@@ -153,14 +153,14 @@ func (f *Farm) WriteStats(w io.Writer) {
 	writeTenantText(w, st.Tenants)
 	if len(st.RetriesByCause) > 0 {
 		fmt.Fprintf(w, "  retries by cause:")
-		for _, cause := range sortedKeys(st.RetriesByCause) {
+		for _, cause := range SortedKeys(st.RetriesByCause) {
 			fmt.Fprintf(w, " %s=%d", cause, st.RetriesByCause[cause])
 		}
 		fmt.Fprintln(w)
 	}
 	if len(st.FaultsInjected) > 0 {
 		fmt.Fprintf(w, "  faults injected:")
-		for _, point := range sortedKeys(st.FaultsInjected) {
+		for _, point := range SortedKeys(st.FaultsInjected) {
 			fmt.Fprintf(w, " %s=%d", point, st.FaultsInjected[point])
 		}
 		fmt.Fprintln(w)
@@ -207,17 +207,9 @@ func (f *Farm) WriteStats(w io.Writer) {
 	}
 }
 
-func sortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// sortedTenants returns the tenant names of a view map in stable order.
-func sortedTenants(m map[string]tenant.View) []string {
+// SortedKeys returns a string-keyed map's keys in stable order, for
+// renderings that must not depend on map iteration order.
+func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -232,7 +224,7 @@ func writeTenantText(w io.Writer, views map[string]tenant.View) {
 		return
 	}
 	fmt.Fprintln(w, "tenants:")
-	for _, name := range sortedTenants(views) {
+	for _, name := range SortedKeys(views) {
 		v := views[name]
 		fmt.Fprintf(w, "  %-16s w=%d prio=%d queued=%d running=%d submitted=%d done=%d shed=%d parked=%d cycles=%d",
 			name, v.Weight, v.Priority, v.Queued, v.Running,
@@ -242,18 +234,4 @@ func writeTenantText(w io.Writer, views map[string]tenant.View) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// queuedLocked counts still-queued entries in the pending slice (skipping
-// canceled-while-queued jobs awaiting lazy removal). Caller holds f.mu.
-func queuedLocked(pending []*Job) int {
-	n := 0
-	for _, j := range pending {
-		j.mu.Lock()
-		if j.status == StatusQueued {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
 }

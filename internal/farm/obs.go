@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -69,20 +68,6 @@ const maxRetryCauses = 16
 // TraceView returns the job's lifecycle trace snapshot.
 func (j *Job) TraceView() obs.TraceView { return j.trace.View() }
 
-// traceOutcome labels a run span with how the attempt ended.
-func traceOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, errParked):
-		return "parked"
-	case IsTransient(err):
-		return transientCause(err)
-	default:
-		return "error"
-	}
-}
-
 // WriteProm renders the farm's metrics as Prometheus text format
 // (the GET /metrics page). Metric names follow the dedupfarm_ prefix;
 // durations are histograms in seconds.
@@ -98,11 +83,11 @@ func (f *Farm) WriteProm(w io.Writer) error {
 	p.Counter("dedupfarm_jobs_preempted_total", "Attempts preempted by the progress watchdog.", float64(st.JobsPreempted))
 	p.Counter("dedupfarm_jobs_parked_total", "Attempts parked by priority preemption (checkpointed and requeued).", float64(st.JobsParked))
 	p.Counter("dedupfarm_retries_total", "Retried attempts by transient cause.", float64(st.JobsRetried))
-	for _, cause := range sortedKeys(st.RetriesByCause) {
+	for _, cause := range SortedKeys(st.RetriesByCause) {
 		p.Counter("dedupfarm_retries_by_cause_total", "Retried attempts split by cause.",
 			float64(st.RetriesByCause[cause]), "cause", cause)
 	}
-	for _, point := range sortedKeys(st.FaultsInjected) {
+	for _, point := range SortedKeys(st.FaultsInjected) {
 		p.Counter("dedupfarm_faults_injected_total", "Fired fault-injection points.",
 			float64(st.FaultsInjected[point]), "point", point)
 	}
@@ -140,7 +125,7 @@ func (f *Farm) WriteProm(w io.Writer) error {
 	// Per-tenant QoS series, one label per tenant, bounded by the
 	// registry's tenant cap. Each metric's series are emitted together so
 	// the exposition stays one HELP/TYPE block per name.
-	tnames := sortedTenants(st.Tenants)
+	tnames := SortedKeys(st.Tenants)
 	for _, n := range tnames {
 		p.Counter("dedupfarm_tenant_jobs_submitted_total", "Jobs admitted per tenant.",
 			float64(st.Tenants[n].Submitted), "tenant", n)

@@ -25,13 +25,12 @@ import (
 // (user cancel and the wall-clock timeout), which outlives any one
 // attempt; the other fields describe the current attempt.
 type lane struct {
-	j       *Job
-	ctx     context.Context
-	timeout time.Duration
+	j   *Job
+	ctx context.Context
 
 	attempt int       // zero-based attempt index
-	start   time.Time // when the attempt started
-	err     error     // how the attempt ended, once it has
+	start   time.Time // when the open attempt started; zero once its run span closed
+	out     outcome   // what the attempt's end decided, once it has
 }
 
 // serve starts a group claimed by takeBatch and drives it to the end: one
@@ -42,10 +41,10 @@ func (f *Farm) serve(jobs []*Job) {
 	var ls []*lane
 	for _, j := range jobs {
 		timeout := f.jobTimeout(j.Spec)
-		ctx, cancel := context.WithTimeout(f.ctx, timeout)
+		ctx, cancel := context.WithTimeoutCause(j.ctx, timeout, fmt.Errorf("timeout after %s", timeout))
 		defer cancel()
 		j.mu.Lock()
-		if j.status != StatusQueued {
+		if !j.waiting() {
 			// Canceled between claim and start.
 			j.mu.Unlock()
 			continue
@@ -53,7 +52,6 @@ func (f *Farm) serve(jobs []*Job) {
 		j.status = StatusRunning
 		j.started = now
 		j.progressAt = now
-		j.cancel = cancel
 		enq := j.enqueuedAt
 		j.mu.Unlock()
 		// The queued span ends on the instant the first run span starts,
@@ -66,7 +64,7 @@ func (f *Farm) serve(jobs []*Job) {
 			// A coalesced job's wait includes the batch-formation window.
 			f.obs.laneWait.Observe(wait)
 		}
-		ls = append(ls, &lane{j: j, ctx: ctx, timeout: timeout, start: now})
+		ls = append(ls, &lane{j: j, ctx: ctx, start: now})
 	}
 	if len(ls) == 0 {
 		return
@@ -99,9 +97,9 @@ func (f *Farm) rerun(l *lane) {
 	for {
 		f.endRun(l)
 		l.attempt++
-		f.recordRetry(l.j, transientCause(l.err))
+		f.recordRetry(l.j, l.out.cause)
 		if err := f.backoff(l.ctx, l.j, l.attempt); err != nil {
-			f.finishRun(l.j, err, l.timeout)
+			f.end(l.j, decide(err, context.Cause(l.ctx), stopNone, false), l)
 			return
 		}
 		l.start = time.Now()
@@ -128,7 +126,7 @@ func (f *Farm) runGroup(ls []*lane) (retry []*lane) {
 		l.j.mu.Lock()
 		l.j.attempts = l.attempt + 1
 		l.j.lanes = len(ls)
-		l.j.preempted, l.j.parked = false, false
+		l.j.stop = stopNone
 		l.j.attemptCancel = acancel
 		l.j.progressAt = l.start
 		l.j.mu.Unlock()
@@ -149,52 +147,37 @@ func (f *Farm) runGroup(ls []*lane) (retry []*lane) {
 	return retry
 }
 
-// settle decides what follows a lane's attempt. It reports true when the
-// lane should run again — a retryable failure with retries left — and
-// leaves its run span open. Otherwise the job finishes (or, parked, goes
-// back to the queue) and only then does the run span close, so a
-// finished job's done event falls inside its last run span.
+// settle ends a lane's attempt with the outcome decide gives it. It
+// reports true when the lane should run again, its run span still open.
+// A parked job goes back to the queue once its run span closes; any other
+// outcome ends the job.
 func (f *Farm) settle(l *lane, err error) bool {
 	j := l.j
 	j.mu.Lock()
+	l.out = decide(err, context.Cause(l.ctx), j.stop, l.attempt < f.cfg.MaxRetries)
 	j.attemptCancel = nil
-	parked, preempted := j.parked, j.preempted
 	j.mu.Unlock()
-	canceled := errors.Is(err, context.Canceled)
-	switch {
-	case err == nil:
-	case l.ctx.Err() != nil:
-		// The job itself was canceled or ran out of time.
-		err = l.ctx.Err()
-	case parked && canceled:
-		err = errParked
-	case preempted && canceled:
-		err = TransientCause("preempted",
-			fmt.Errorf("preempted by watchdog: no progress for %s", f.cfg.StuckTimeout))
-	case canceled || errors.Is(err, context.DeadlineExceeded):
-		// Another lane's context ended the group's shared compile; this
-		// lane is innocent.
-		err = TransientCause("batch-abort", err)
-	}
-	l.err = err
-	if IsTransient(err) && l.attempt < f.cfg.MaxRetries {
+	switch l.out.kind {
+	case outRetry:
 		return true
+	case outPark:
+		f.endRun(l)
+		f.requeue(j)
+	default:
+		f.end(j, l.out, l)
 	}
-	if errors.Is(err, errParked) {
-		f.requeueParked(j)
-	} else {
-		f.finishRun(j, err, l.timeout)
-	}
-	f.endRun(l)
 	return false
 }
 
-// endRun closes the lane's run span. It covers the whole attempt from
-// its start — compile, engine construction and restore included, failed
-// attempts too — so a job's spans account for its wall time even under
-// chaos.
+// endRun closes the lane's open run span, once. It covers the whole
+// attempt from its start — compile, engine construction and restore
+// included, failed attempts too — so a job's spans account for its wall
+// time even under chaos.
 func (f *Farm) endRun(l *lane) {
-	attrs := []string{"attempt", strconv.Itoa(l.attempt + 1), "outcome", traceOutcome(l.err)}
+	if l.start.IsZero() {
+		return
+	}
+	attrs := []string{"attempt", strconv.Itoa(l.attempt + 1), "outcome", l.out.label()}
 	l.j.mu.Lock()
 	lanes := l.j.lanes
 	l.j.mu.Unlock()
@@ -202,6 +185,87 @@ func (f *Farm) endRun(l *lane) {
 		attrs = append(attrs, "lanes", strconv.Itoa(lanes))
 	}
 	l.j.trace.Span("run", l.start, time.Since(l.start), attrs...)
+	l.start = time.Time{}
+}
+
+// stopCause is what stopped an attempt from outside it, by canceling its
+// attempt context while the job's stays live (Job.stopAttempt).
+type stopCause uint8
+
+const (
+	stopNone     stopCause = iota
+	stopPark               // priority preemption: checkpoint and requeue
+	stopWatchdog           // no progress for Config.StuckTimeout: retry
+)
+
+// outcomeKind is what follows an attempt's end.
+type outcomeKind string
+
+const (
+	outRetry    outcomeKind = "retry"                     // run again, alone, after a backoff
+	outPark     outcomeKind = "park"                      // back to the queue, resuming from its checkpoint
+	outDone     outcomeKind = outcomeKind(StatusDone)     // the job ran its budget
+	outFailed   outcomeKind = outcomeKind(StatusFailed)   // a permanent error, or retries exhausted
+	outCanceled outcomeKind = outcomeKind(StatusCanceled) // the job was canceled, or the farm closed
+	outTimeout  outcomeKind = "timeout"                   // the job's deadline passed
+)
+
+// outcome is the one decision taken when an attempt ends. The journal
+// record (status), the run span's label and the retry counter (cause)
+// all read it.
+type outcome struct {
+	kind  outcomeKind
+	cause string // the retry-cause label of an outRetry
+	err   error  // the job's error when the outcome ends it unsuccessfully
+}
+
+// status is the terminal status an ending outcome publishes: its kind,
+// except that a timeout fails the job.
+func (o outcome) status() Status {
+	if o.kind == outTimeout {
+		return StatusFailed
+	}
+	return Status(o.kind)
+}
+
+// label names the outcome on the attempt's run span: the cause of a
+// retry, the kind otherwise.
+func (o outcome) label() string {
+	if o.kind == outRetry {
+		return o.cause
+	}
+	return string(o.kind)
+}
+
+// decide maps how an attempt ended to its outcome. It is pure: err is
+// the attempt's error (nil once it ran its budget), jobErr the cause of
+// the job context's end (nil while live; context.Canceled on a cancel or
+// Close, the timeout error once the deadline passed), stop what stopped
+// the attempt from outside, and retriesLeft whether the retry policy
+// allows another attempt. Success wins over everything, the job's own
+// end over any stop, and a stop only explains an attempt that ended by
+// its canceled context.
+func decide(err, jobErr error, stop stopCause, retriesLeft bool) outcome {
+	switch {
+	case err == nil:
+		return outcome{kind: outDone}
+	case errors.Is(jobErr, context.Canceled):
+		return outcome{kind: outCanceled, err: errors.New("canceled")}
+	case jobErr != nil:
+		return outcome{kind: outTimeout, err: jobErr}
+	case errors.Is(err, context.Canceled) && stop == stopPark:
+		return outcome{kind: outPark}
+	case errors.Is(err, context.Canceled) && stop == stopWatchdog:
+		err = TransientCause("preempted", errors.New("preempted by watchdog: no progress within the stuck timeout"))
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// Another lane's context ended the group's shared compile; this
+		// lane is innocent.
+		err = TransientCause("batch-abort", err)
+	}
+	if IsTransient(err) && retriesLeft {
+		return outcome{kind: outRetry, cause: transientCause(err)}
+	}
+	return outcome{kind: outFailed, err: err}
 }
 
 // simulate is the body of an attempt: compile once, build one
@@ -387,7 +451,7 @@ func (f *Farm) simulate(ls []*lane, actxs []context.Context, exit func(int, erro
 					// noticed the cancel, so the requeued job loses at most
 					// one chunk (≤ CheckpointEvery) of cycles.
 					l.j.mu.Lock()
-					parked := l.j.parked
+					parked := l.j.stop == stopPark
 					l.j.mu.Unlock()
 					if parked && vcd == nil && cyc > resume {
 						checkpoint(i)

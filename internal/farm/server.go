@@ -48,7 +48,7 @@ func Handler(f *Farm) http.Handler {
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
 		if code, err := DecodeBody(w, r, &spec); err != nil {
-			httpError(w, code, fmt.Errorf("bad job spec: %w", err))
+			HTTPError(w, code, fmt.Errorf("bad job spec: %w", err))
 			return
 		}
 		// X-Trace-Id propagates the submitter's trace ID (the router sets
@@ -79,11 +79,11 @@ func Handler(f *Farm) http.Handler {
 			case errors.Is(err, ErrDraining), strings.Contains(err.Error(), "closed"):
 				code = http.StatusServiceUnavailable
 			}
-			httpError(w, code, err)
+			HTTPError(w, code, err)
 			return
 		}
 		w.Header().Set("X-Trace-Id", j.Spec.TraceID)
-		writeJSON(w, http.StatusAccepted, j.View())
+		WriteJSON(w, http.StatusAccepted, j.View())
 	})
 
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -91,7 +91,7 @@ func Handler(f *Farm) http.Handler {
 		if s := r.URL.Query().Get("live"); s != "" {
 			var err error
 			if live, err = strconv.ParseBool(s); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("bad live filter %q", s))
+				HTTPError(w, http.StatusBadRequest, fmt.Errorf("bad live filter %q", s))
 				return
 			}
 		}
@@ -108,18 +108,18 @@ func Handler(f *Farm) http.Handler {
 				views = append(views, v)
 			}
 		}
-		writeJSON(w, http.StatusOK, views)
+		WriteJSON(w, http.StatusOK, views)
 	})
 
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		wait, err := ParseWait(r)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		j, ok := f.Job(r.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 			return
 		}
 		if wait > 0 {
@@ -131,27 +131,27 @@ func Handler(f *Farm) http.Handler {
 			}
 			t.Stop()
 		}
-		writeJSON(w, http.StatusOK, j.View())
+		WriteJSON(w, http.StatusOK, j.View())
 	})
 
 	mux.HandleFunc("POST /jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
 		if err := f.Cancel(r.PathValue("id")); err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
 		j, _ := f.Job(r.PathValue("id"))
-		writeJSON(w, http.StatusOK, j.View())
+		WriteJSON(w, http.StatusOK, j.View())
 	})
 
 	mux.HandleFunc("GET /jobs/{id}/vcd", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := f.Job(r.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 			return
 		}
 		vcd := j.VCD()
 		if len(vcd) == 0 {
-			httpError(w, http.StatusNotFound, errors.New("job captured no VCD (submit with \"vcd\": true)"))
+			HTTPError(w, http.StatusNotFound, errors.New("job captured no VCD (submit with \"vcd\": true)"))
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -161,12 +161,12 @@ func Handler(f *Farm) http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := f.Job(r.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 			return
 		}
 		data := j.CheckpointBytes()
 		if len(data) == 0 {
-			httpError(w, http.StatusNotFound, errors.New("job has no checkpoint"))
+			HTTPError(w, http.StatusNotFound, errors.New("job has no checkpoint"))
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -179,12 +179,12 @@ func Handler(f *Farm) http.Handler {
 		key := r.PathValue("key")
 		hash, variant, ok := splitArtifactKey(key)
 		if !ok {
-			httpError(w, http.StatusBadRequest, errors.New("artifact key must be {64-hex-hash}-{variant}"))
+			HTTPError(w, http.StatusBadRequest, errors.New("artifact key must be {64-hex-hash}-{variant}"))
 			return
 		}
 		data, ok := f.ExportArtifact(hash, variant)
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no compiled artifact %q", key))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no compiled artifact %q", key))
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -198,12 +198,12 @@ func Handler(f *Farm) http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := f.Job(r.PathValue("id"))
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+			HTTPError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
 			return
 		}
 		view := j.TraceView()
 		if r.URL.Query().Get("format") == "events" {
-			writeJSON(w, http.StatusOK, view)
+			WriteJSON(w, http.StatusOK, view)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -226,7 +226,7 @@ func Handler(f *Farm) http.Handler {
 	})
 
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Stats())
+		WriteJSON(w, http.StatusOK, f.Stats())
 	})
 
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
@@ -235,7 +235,7 @@ func Handler(f *Farm) http.Handler {
 	})
 
 	mux.HandleFunc("GET /cache", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Stats   CacheStats       `json:"stats"`
 			Entries []CacheEntryView `json:"entries"`
 		}{f.cache.Stats(), f.cache.Snapshot()})
@@ -304,7 +304,8 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (status int, err 
 	return 0, nil
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as an indented JSON response with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -312,8 +313,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// HTTPError writes err as a JSON {"error": ...} response with status code.
+func HTTPError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // retryAfterSeconds renders a refill delay as a whole-second Retry-After
